@@ -105,7 +105,7 @@ def framework_comparison() -> None:
 
 def main() -> None:
     # One registration makes the new algorithm available everywhere —
-    # framework configs, the CLI, benches.
+    # framework configs, the CLI, experiments and scenarios.
     register_scheduler("oldest-cell-first",
                        lambda n_ports, **kw: OldestCellFirst(n_ports))
     fabric_comparison()

@@ -22,8 +22,9 @@ Quickstart::
     result = fw.run(2 * MILLISECONDS)
     print(result.latency().row(), result.utilisation())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See the README's Architecture section for the system inventory and
+the :mod:`repro.experiments` docstring for the paper claim each
+experiment reproduces.
 """
 
 from repro.core.config import FrameworkConfig

@@ -1,6 +1,6 @@
 """ASCII charts for experiment reports.
 
-The bench harness prints tables; for sweeps with many points a picture
+Experiment reports print tables; for sweeps with many points a picture
 reads faster.  Pure-text rendering keeps the repository dependency-free
 and the output greppable.
 

@@ -1,6 +1,6 @@
-"""ASCII table / series rendering for the bench harness.
+"""ASCII table / series rendering for experiment reports.
 
-The benchmarks print the same rows/series a paper table or figure would
+Reports print the same rows/series a paper table or figure would
 carry; these helpers keep the formatting consistent and dependency-free.
 """
 

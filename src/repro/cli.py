@@ -13,8 +13,6 @@ into job plans::
     repro scenario list              # the named workload library
     repro scenario show incast       # canonical JSON of one scenario
     repro scenario run incast --quick --jobs 2 --set n_ports=16
-    repro perf --quick               # microbench suite -> BENCH_<rev>.json
-    repro perf --baseline benchmarks/baselines   # advisory diff
     repro serve --jobs 4             # always-on sweep daemon + cache
     repro run all --quick --server   # route a run through the daemon
     repro worker --connect host:7461 # join a daemon's worker fleet
@@ -453,89 +451,6 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
                    show_manifest=(len(specs) > 1 or args.jobs > 1
                                   or args.cache_dir is not None
                                   or args.server is not None))
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        BenchRecord,
-        diff_records,
-        engine_speedups,
-        iter_benches,
-        latest_record,
-        run_suite,
-    )
-
-    benches = list(iter_benches(quick=args.quick, pattern=args.filter))
-    if args.list:
-        width = max((len(bench.name) for bench in benches), default=0)
-        for bench in benches:
-            subset = "quick" if bench.quick else "full "
-            print(f"  {bench.name:<{width}}  [{subset}] {bench.group}")
-        return 0
-    if not benches:
-        print(f"no benches match filter {args.filter!r}", file=sys.stderr)
-        return 2
-    repeats = args.repeats if args.repeats is not None else (
-        3 if args.quick else 5)
-    min_time = args.min_time if args.min_time is not None else (
-        0.05 if args.quick else 0.2)
-    if repeats < 1 or min_time <= 0:
-        print("--repeats must be >= 1 and --min-time positive",
-              file=sys.stderr)
-        return 2
-    width = max(len(bench.name) for bench in benches)
-
-    def _show(result) -> None:
-        print(f"  {result.name:<{width}}  {result.ns_per_op:>14,.0f} ns/op"
-              f"  ({result.ops_per_s:,.1f} op/s, "
-              f"best of {result.repeats})")
-
-    print(f"running {len(benches)} benches "
-          f"({'quick' if args.quick else 'full'} mode, "
-          f"min_time={min_time}s, repeats={repeats}):")
-    results = run_suite(benches, min_time_s=min_time, repeats=repeats,
-                        on_result=_show)
-    record = BenchRecord.capture(results, quick=args.quick)
-    out_path = pathlib.Path(args.json_out) if args.json_out \
-        else pathlib.Path(record.default_filename())
-    record.write(out_path)
-    print(f"\nwrote {out_path} (revision {record.revision})")
-    speedups = engine_speedups(record)
-    if speedups:
-        print("paired speedups (reference/vector, sequential/batch, "
-              "reference/columnar):")
-        for stem in sorted(speedups):
-            print(f"  {stem}: {speedups[stem]:.1f}x")
-    if args.baseline:
-        baseline_path = pathlib.Path(args.baseline)
-        if baseline_path.is_dir():
-            found = latest_record(baseline_path)
-            if found is None:
-                print(f"--baseline {args.baseline!r}: no BENCH_*.json "
-                      "records inside", file=sys.stderr)
-                return 2
-            baseline_path = found
-        try:
-            baseline = BenchRecord.load(baseline_path)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"--baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-        deltas = diff_records(baseline, record, threshold=args.threshold)
-        print(f"vs baseline {baseline_path} "
-              f"(revision {baseline.revision}, "
-              f"threshold ±{args.threshold:.0%}):")
-        for delta in deltas:
-            print(delta.render())
-        regressions = [d for d in deltas if d.status == "regression"]
-        if regressions:
-            print(f"{len(regressions)} advisory regression(s) beyond "
-                  f"{args.threshold:.0%} — wall-clock noise is common on "
-                  "shared runners; investigate before trusting.")
-            if args.fail_on_regression:
-                return 1
-        else:
-            print("no regressions beyond threshold.")
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1423,36 +1338,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="machine-readable output")
         sub_cmd.set_defaults(func=func)
 
-    perf = sub.add_parser(
-        "perf", help="run the microbench suite, emit a BENCH_<rev>.json "
-                     "trajectory record, optionally diff a baseline")
-    perf.add_argument("--quick", action="store_true",
-                      help="quick bench subset with lighter timing "
-                           "(CI perf-smoke)")
-    perf.add_argument("--list", action="store_true",
-                      help="list matching benches instead of running")
-    perf.add_argument("--filter", metavar="SUBSTR",
-                      help="only benches whose name contains SUBSTR")
-    perf.add_argument("--json-out", metavar="PATH",
-                      help="record path (default ./BENCH_<rev>.json)")
-    perf.add_argument("--baseline", metavar="PATH",
-                      help="BENCH_*.json file — or a directory, e.g. "
-                           "benchmarks/baselines, using its newest "
-                           "record — to diff against (advisory)")
-    perf.add_argument("--threshold", type=float, default=0.25,
-                      metavar="FRAC",
-                      help="relative drift that counts as a regression/"
-                           "improvement (default 0.25)")
-    perf.add_argument("--repeats", type=int, default=None, metavar="N",
-                      help="timing repeats per bench (default 5, or 3 "
-                           "with --quick)")
-    perf.add_argument("--min-time", type=float, default=None, metavar="S",
-                      help="minimum seconds per repeat (default 0.2, or "
-                           "0.05 with --quick)")
-    perf.add_argument("--fail-on-regression", action="store_true",
-                      help="exit 1 when the advisory diff finds a "
-                           "regression (local gating; CI stays advisory)")
-    perf.set_defaults(func=_cmd_perf)
     return parser
 
 

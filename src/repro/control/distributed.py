@@ -19,7 +19,7 @@ that are **stale** (aggregated and shipped a few epochs ago) and makes
 With ``staleness_epochs=0`` this is a centralized greedy matcher (one
 PIM-like round with weight ties broken deterministically), so sweeping
 staleness isolates the cost of distribution itself — the ablation in
-``benchmarks/bench_ablation.py``.
+``tests/test_ablations.py``.
 """
 
 from __future__ import annotations

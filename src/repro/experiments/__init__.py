@@ -2,8 +2,9 @@
 
 Each experiment returns an :class:`~repro.experiments.base.ExperimentReport`
 holding the same rows/series the paper's figure or claim carries.  The
-``benchmarks/`` tree and the ``repro`` CLI both call these functions, so
-numbers in EXPERIMENTS.md, bench output and ad hoc runs always agree.
+``repro`` CLI, the tests and the end-to-end benchmark in
+``benchmarks/e2e/`` all call these functions, so their numbers always
+agree.
 
 ========  ==========================================================
 E1        Figure 1 — buffering requirement vs switching time

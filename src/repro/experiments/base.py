@@ -28,7 +28,7 @@ class ExperimentConfig:
     seed:
         Base seed for every RNG the experiment owns.  ``None`` keeps
         each experiment's historical default seeds, so existing numbers
-        (and EXPERIMENTS.md) stay stable.
+        stay stable.
     scheduler:
         Registry-name override for experiments that sweep a single
         framework scheduler (e1, e3, e6, e8).  ``None`` keeps each
@@ -85,11 +85,11 @@ class ExperimentReport:
     title:
         Which paper artifact this reproduces.
     tables:
-        Rendered ASCII tables (what the bench prints).
+        Rendered ASCII tables (what ``repro run`` prints).
     data:
-        Raw series keyed by name, for tests and EXPERIMENTS.md
-        assertions (each value is whatever the experiment found
-        natural: lists, dicts, floats).
+        Raw series keyed by name, for tests' assertions (each value
+        is whatever the experiment found natural: lists, dicts,
+        floats).
     expectations:
         Human-readable statements of the paper-shape checks this run
         satisfied (filled by the experiment itself after verifying).

@@ -57,8 +57,8 @@ def run_replicas_sequential(
 ) -> List[FabricStats]:
     """The per-replica path: one solo fabric run per seed, in order.
 
-    This is the executable specification ``run_replicas`` is measured
-    against (and the ``.sequential`` side of the sweep benches).
+    This is the executable specification ``run_replicas`` is tested
+    against in ``tests/test_fabric_replicas.py``.
     """
     return [
         CellFabricSim(scheduler_factory(), rates, seed=seed,

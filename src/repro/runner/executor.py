@@ -134,8 +134,8 @@ def map_jobs(fn: Callable[[T], R], items: Sequence[T],
     """Order-preserving map, optionally across warm worker processes.
 
     The generic primitive under :func:`execute`, also used directly by
-    benchmark drivers (``benchmarks/bench_ablation.py``) to fan their
-    per-knob runs out without changing result order.  ``fn`` must be a
+    the knob sweeps in ``tests/test_ablations.py`` to fan their per-knob
+    runs out without changing result order.  ``fn`` must be a
     module-level callable when ``jobs > 1`` (task pickling).
     """
     return list(imap_jobs(fn, items, jobs=jobs))

@@ -6,8 +6,7 @@ wall time, how many paper-shape checks passed).  ``merge_outcomes``
 folds a whole sweep back into the existing
 :class:`~repro.experiments.base.ExperimentReport` shape, so everything
 downstream that knows how to render, assert on or persist a report
-(benches, EXPERIMENTS.md tooling, tests) works unchanged on sweep
-output.
+(the CLI, ``--json-out``, tests) works unchanged on sweep output.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ derived from — as executable specifications:
 * the equivalence tests in ``tests/test_schedulers_vectorized.py``
   fuzz vector vs scalar and require **identical** matchings, pointer
   state and stats on every demand matrix;
-* the ``repro perf`` fabric benchmarks run the reference stack
-  (scalar fabric engine + scalar scheduler) against the vector stack,
-  so the recorded speedup measures the whole hot-path overhaul rather
-  than one layer;
+* the golden tests in ``tests/test_fabric_vector.py`` run the
+  reference stack (scalar fabric engine + scalar scheduler) against
+  the vector stack, so the whole hot-path overhaul, not one layer, is
+  held to identical results;
 * anyone modifying a vectorised algorithm can diff against code that
   reads like the pseudocode in the original papers.
 

@@ -114,7 +114,7 @@ class ReproWorker:
 
     Construct, then call :meth:`run` (blocking; the CLI path) or hand
     :meth:`run` to a thread and use :meth:`wait_registered` /
-    :meth:`stop` (tests and benches).  ``run`` returns the process
+    :meth:`stop` (tests).  ``run`` returns the process
     exit code: 0 after a clean ``bye`` or :meth:`stop`, 1 when the
     daemon stays gone through every reconnect attempt; a daemon that
     cannot be dialed or refuses the *first* registration raises

@@ -1,6 +1,6 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablations of four design choices of the hybrid switch framework.
 
-Four ablations, each isolating one knob of the framework:
+Each ablation isolates one knob of the framework:
 
 * **iSLIP iteration count** — matching quality vs hardware cost.
 * **Demand estimator** (instant / EWMA / sketch) inside the full
@@ -10,14 +10,12 @@ Four ablations, each isolating one knob of the framework:
 * **Distributed scheduling staleness** — what decentralising the
   scheduler costs in matching weight as its demand view ages.
 
-Each ablation's knob sweep is routed through the runner's
-order-preserving :func:`repro.runner.map_jobs`: every point is a
-module-level pure function of its knob value, so the sweep can fan out
-across worker processes (``REPRO_BENCH_JOBS=N``) with bit-identical
-results to the default sequential run.
+Each knob sweep is routed through the runner's order-preserving
+:func:`repro.runner.map_jobs`: every point is a module-level pure
+function of its knob value, so the sweep could fan out across worker
+processes with results identical to the sequential run used here.
+Run with ``-s`` to see each ablation's table.
 """
-
-import os
 
 import numpy as np
 
@@ -33,11 +31,6 @@ from repro.schedulers.mwm import MwmScheduler
 from repro.sim.time import GIGABIT, MICROSECONDS, MILLISECONDS
 from repro.traffic.patterns import HotspotDestination
 from repro.traffic.sources import OnOffSource
-
-
-def _bench_jobs() -> int:
-    """Worker processes per ablation sweep (default: sequential)."""
-    return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
 
 
 def _hotspot_framework(estimator="instant", eps_rate=2.5 * GIGABIT,
@@ -113,74 +106,54 @@ def _staleness_point(staleness):
     return staleness, got / best
 
 
-def test_ablation_islip_iterations(benchmark):
+def test_ablation_islip_iterations():
     """Throughput vs iteration count on adversarial load."""
-
-    def run():
-        points = map_jobs(_islip_point, (1, 2, 4, 8), jobs=_bench_jobs())
-        rows = [[str(i), f"{throughput:.3f}", f"{delay:.1f}"]
-                for i, throughput, delay in points]
-        print()
-        print(render_table(
-            ["iSLIP iterations", "throughput", "mean delay (slots)"],
-            rows, title="ablation: iSLIP iterations, diagonal 0.9"))
-        return {i: throughput for i, throughput, __ in points}
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = map_jobs(_islip_point, (1, 2, 4, 8))
+    rows = [[str(i), f"{throughput:.3f}", f"{delay:.1f}"]
+            for i, throughput, delay in points]
+    print()
+    print(render_table(
+        ["iSLIP iterations", "throughput", "mean delay (slots)"],
+        rows, title="ablation: iSLIP iterations, diagonal 0.9"))
+    series = {i: throughput for i, throughput, __ in points}
     assert series[4] >= series[1] - 0.02
 
 
-def test_ablation_demand_estimator(benchmark):
+def test_ablation_demand_estimator():
     """Does estimator choice reach end-to-end OCS offload?"""
-
-    def run():
-        points = map_jobs(_estimator_point, ("instant", "ewma", "sketch"),
-                          jobs=_bench_jobs())
-        rows = [[name, f"{fraction:.3f}", f"{util:.3f}"]
-                for name, fraction, util in points]
-        print()
-        print(render_table(
-            ["estimator", "OCS byte fraction", "utilisation"],
-            rows, title="ablation: demand estimator in the framework"))
-        return {name: fraction for name, fraction, __ in points}
-
-    fractions = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = map_jobs(_estimator_point, ("instant", "ewma", "sketch"))
+    rows = [[name, f"{fraction:.3f}", f"{util:.3f}"]
+            for name, fraction, util in points]
+    print()
+    print(render_table(
+        ["estimator", "OCS byte fraction", "utilisation"],
+        rows, title="ablation: demand estimator in the framework"))
+    fractions = {name: fraction for name, fraction, __ in points}
     assert all(0.0 <= f <= 1.0 for f in fractions.values())
 
 
-def test_ablation_eps_capacity(benchmark):
+def test_ablation_eps_capacity():
     """Residual-path provisioning: EPS rate from 10G down to 0.5G."""
-
-    def run():
-        points = map_jobs(_eps_point, (10.0, 2.5, 1.0, 0.5),
-                          jobs=_bench_jobs())
-        rows = [[f"{gbps:.1f}G", f"{util:.3f}", str(peak), str(drops)]
-                for gbps, util, peak, drops in points]
-        print()
-        print(render_table(
-            ["EPS rate", "utilisation", "peak EPS queue (B)",
-             "EPS drops"],
-            rows, title="ablation: residual electrical capacity"))
-        return {gbps: peak for gbps, __, peak, __d in points}
-
-    peaks = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = map_jobs(_eps_point, (10.0, 2.5, 1.0, 0.5))
+    rows = [[f"{gbps:.1f}G", f"{util:.3f}", str(peak), str(drops)]
+            for gbps, util, peak, drops in points]
+    print()
+    print(render_table(
+        ["EPS rate", "utilisation", "peak EPS queue (B)", "EPS drops"],
+        rows, title="ablation: residual electrical capacity"))
+    peaks = {gbps: peak for gbps, __, peak, __d in points}
     # A thinner residual path must queue at least as much residue.
     assert peaks[0.5] >= peaks[10.0]
 
 
-def test_ablation_distributed_staleness(benchmark):
+def test_ablation_distributed_staleness():
     """Matching weight lost to stale demand views (decentralisation)."""
-
-    def run():
-        points = map_jobs(_staleness_point, (0, 1, 2, 4, 8),
-                          jobs=_bench_jobs())
-        rows = [[str(staleness), f"{ratio:.3f}"]
-                for staleness, ratio in points]
-        print()
-        print(render_table(
-            ["staleness (epochs)", "weight vs centralized MWM"],
-            rows, title="ablation: distributed scheduling staleness"))
-        return dict(points)
-
-    ratios = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = map_jobs(_staleness_point, (0, 1, 2, 4, 8))
+    rows = [[str(staleness), f"{ratio:.3f}"]
+            for staleness, ratio in points]
+    print()
+    print(render_table(
+        ["staleness (epochs)", "weight vs centralized MWM"],
+        rows, title="ablation: distributed scheduling staleness"))
+    ratios = dict(points)
     assert ratios[8] <= ratios[0] + 1e-9  # staleness never helps

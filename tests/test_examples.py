@@ -2,7 +2,7 @@
 
 Examples are the quickstart surface of the library; a refactor that
 breaks them breaks the README.  Only the fast ones run here (the
-workload-heavy examples are exercised manually / by the bench harness);
+workload-heavy examples are exercised manually);
 each runs in a subprocess so import side effects stay isolated.
 """
 

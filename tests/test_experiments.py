@@ -74,6 +74,9 @@ class TestE2:
         assert min(ratios) > 50        # even exact MWM wins big in HW
         assert max(ratios) > 1_000     # iterative matchers win 3+ orders
 
+    def test_hardware_loop_is_sub_10us(self, report):
+        assert report.data["hw_fpga_ps"] < 10_000_000
+
     def test_tables_rendered(self, report):
         assert any("netfpga_sume" in t for t in report.tables)
 
@@ -90,6 +93,14 @@ class TestE5:
             curves["islip-4"][heaviest][1] - 0.05
         assert curves["islip-4"][heaviest][1] > curves["tdma"][heaviest][1]
 
+    def test_mwm_beats_tdma_on_diagonal(self, report):
+        curves = report.data["diagonal"]
+        assert curves["mwm"][-1][1] > curves["tdma"][-1][1]
+
+    def test_more_islip_iterations_never_hurt_on_diagonal(self, report):
+        curves = report.data["diagonal"]
+        assert curves["islip-4"][-1][1] >= curves["islip-1"][-1][1] - 0.02
+
     def test_pim_saturates_below_islip_uniform(self, report):
         curves = report.data["uniform"]
         assert curves["islip-1"][-1][1] > curves["pim-1"][-1][1]
@@ -101,6 +112,10 @@ class TestE5:
 
 
 class TestE6:
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_e6(quick=True)
+
     def test_skewed_demand_generator(self):
         demand = skewed_demand(8, 0.9, total_bytes=1e6, seed=1)
         assert demand.shape == (8, 8)
@@ -108,16 +123,30 @@ class TestE6:
         # The hot pair dominates its row.
         assert demand[0, 1] > demand[0, 2]
 
-    def test_offload_grows_with_skew(self):
-        report = run_e6(quick=True)
+    def test_offload_grows_with_skew(self, report):
         fractions = report.data["hotspot_fraction"]
         assert fractions[-1] > fractions[0]
 
+    def test_end_to_end_offload_grows_with_skew(self, report):
+        fractions = report.data["e2e_ocs_fraction"]
+        assert fractions[-1] >= fractions[0]
+
+    def test_instant_estimator_no_worse_than_sketch(self, report):
+        errors = report.data["estimator_errors"]
+        assert errors["instant"] <= errors["sketch(w=16)"] + 1e-9
+
 
 class TestE7:
-    def test_hardware_islip_stays_fast(self):
-        report = run_e7(quick=True)
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_e7(quick=True)
+
+    def test_hardware_islip_stays_fast(self, report):
         islip = report.data["model_compute_ps"]["islip"]
         assert islip[-1] < 1_000_000  # < 1 us at the largest port count
         mwm = report.data["model_compute_ps"]["mwm"]
         assert mwm[-1] > islip[-1]
+
+    def test_model_compute_monotone_in_port_count(self, report):
+        for series in report.data["model_compute_ps"].values():
+            assert series == sorted(series)

@@ -74,6 +74,7 @@ class TestGoldenEquivalence:
         solo = run_replicas_sequential(factory, rates, SEEDS, 120,
                                        warmup=20)
         assert batch == solo
+        assert all(stats.departures > 0 for stats in solo)
 
     def test_batch_matches_reference_engine(self):
         # The full cross-stack golden: batched kernel + batched iSLIP

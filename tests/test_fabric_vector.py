@@ -59,6 +59,7 @@ class TestGoldenEquivalence:
         vector = CellFabricSim(make_vector(n), rates, seed=seed,
                                engine="vector").run(300, warmup=40)
         assert reference == vector
+        assert vector.departures > 0  # two idle runs would prove nothing
 
     def test_identical_stats_64_ports_across_chunks(self):
         # At n=64 the memory budget bounds chunks to 244 slots, so 300
@@ -72,6 +73,7 @@ class TestGoldenEquivalence:
             IslipScheduler(64, iterations=1), rates, seed=3,
             engine="vector").run(280, warmup=20)
         assert reference == vector
+        assert vector.departures > 0
 
     def test_identical_across_many_chunk_boundaries(self, monkeypatch):
         # Shrink the chunk cap so a cheap run crosses dozens of chunk

@@ -119,6 +119,17 @@ class TestRun:
             sim.schedule(i, lambda: None)
         sim.run()
         assert sim.events_dispatched == 5
+        # Events a callback schedules are dispatched and counted too.
+        remaining = [100]
+
+        def tick():
+            remaining[0] -= 1
+            if remaining[0]:
+                sim.schedule(10, tick)
+
+        sim.schedule(0, tick)
+        sim.run()
+        assert sim.events_dispatched == 105
 
 
 class TestDeterminism:
