@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.sim.errors import ConfigurationError
 
@@ -82,6 +81,10 @@ def batch_means_ci(values: Sequence[float], n_batches: int = 10,
         std_err = float(batches.std(ddof=1)) / np.sqrt(n_batches)
     else:
         std_err = 0.0
+    # Imported here, not at module top: scipy.stats is the heaviest
+    # import in the package and no experiment calls this function.
+    from scipy import stats as sps
+
     t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n_batches - 1))
     return ConfidenceInterval(mean=mean, half_width=t_crit * std_err,
                               confidence=confidence,
@@ -144,6 +147,8 @@ def compare_means(a: Sequence[float], b: Sequence[float],
     if np.allclose(a_arr, a_arr[0]) and np.allclose(b_arr, b_arr[0]):
         # Degenerate zero-variance case: significance is exact equality.
         return diff, not np.isclose(diff, 0.0)
+    from scipy import stats as sps  # see batch_means_ci
+
     __, p_value = sps.ttest_ind(a_arr, b_arr, equal_var=False)
     return diff, bool(p_value < (1.0 - confidence))
 

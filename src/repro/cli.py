@@ -453,6 +453,28 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
                                   or args.server is not None))
 
 
+@contextlib.contextmanager
+def _signal_handlers(handler, *signums: int):
+    """Install ``handler`` for ``signums``; put the old ones back on exit.
+
+    A command run in-process through :func:`main` (tests, embedding
+    programs) must leave the caller's handlers as it found them.  Off
+    the main thread ``signal.signal`` raises and nothing is installed.
+    """
+    previous = {}
+    for signum in signums:
+        with contextlib.suppress(ValueError, OSError):
+            previous[signum] = signal.signal(signum, handler)
+    try:
+        yield
+    finally:
+        for signum, old in previous.items():
+            # None: the old handler was not installed from Python and
+            # cannot be reinstated from here.
+            if old is not None:
+                signal.signal(signum, old)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ReproDaemon
     from repro.service.protocol import parse_address
@@ -535,14 +557,12 @@ def _serve_standby(args: argparse.Namespace, limits) -> int:
     def _stand_down(signum, frame):  # noqa: ARG001
         hub.stop()
 
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(ValueError, OSError):
-            signal.signal(signum, _stand_down)
-    try:
-        return hub.run()
-    except StandbyError as exc:
-        print(f"--standby: {exc}", file=sys.stderr)
-        return 2
+    with _signal_handlers(_stand_down, signal.SIGTERM, signal.SIGINT):
+        try:
+            return hub.run()
+        except StandbyError as exc:
+            print(f"--standby: {exc}", file=sys.stderr)
+            return 2
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -590,17 +610,16 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         worker.stop()
         raise SystemExit(128 + signum)
 
-    with contextlib.suppress(ValueError, OSError):  # non-main thread
-        signal.signal(signal.SIGTERM, _drain_on_sigterm)
-    try:
-        return worker.run()
-    except (WorkerError, ProtocolError, OSError) as exc:
-        # Mirrors the client failure contract: an unreachable or
-        # incompatible daemon — or one whose registration reply is
-        # garbled (ProtocolError) — is one line on stderr and exit
-        # code 2.
-        print(f"--connect {args.connect}: {exc}", file=sys.stderr)
-        return 2
+    with _signal_handlers(_drain_on_sigterm, signal.SIGTERM):
+        try:
+            return worker.run()
+        except (WorkerError, ProtocolError, OSError) as exc:
+            # Mirrors the client failure contract: an unreachable or
+            # incompatible daemon — or one whose registration reply is
+            # garbled (ProtocolError) — is one line on stderr and exit
+            # code 2.
+            print(f"--connect {args.connect}: {exc}", file=sys.stderr)
+            return 2
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -637,20 +656,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     stop = threading.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(ValueError, OSError):
-            signal.signal(signum, lambda *_: stop.set())
-    try:
-        proxy.start()
-    except OSError as exc:
-        print(f"--listen {args.listen}: {exc}", file=sys.stderr)
-        return 2
-    print(f"chaos proxy on {proxy.bound_address} -> {args.upstream} "
-          f"(seed={args.seed})", flush=True)
-    # --duration: self-terminating runs for CI (no pid bookkeeping);
-    # a signal still stops the proxy early either way.
-    stop.wait(args.duration if args.duration else None)
-    proxy.stop()
+    with _signal_handlers(lambda *_: stop.set(), signal.SIGTERM,
+                          signal.SIGINT):
+        try:
+            proxy.start()
+        except OSError as exc:
+            print(f"--listen {args.listen}: {exc}", file=sys.stderr)
+            return 2
+        print(f"chaos proxy on {proxy.bound_address} -> "
+              f"{args.upstream} (seed={args.seed})", flush=True)
+        # --duration: self-terminating runs for CI (no pid
+        # bookkeeping); a signal still stops the proxy early either way.
+        stop.wait(args.duration if args.duration else None)
+        proxy.stop()
     counters = proxy.counters.snapshot()
     print(f"chaos proxy stopped: "
           f"{json.dumps(counters, sort_keys=True)}")
@@ -716,10 +734,8 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
     def _wind_down(signum, frame):  # noqa: ARG001
         supervisor.request_stop()
 
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(ValueError, OSError):
-            signal.signal(signum, _wind_down)
-    return supervisor.run()
+    with _signal_handlers(_wind_down, signal.SIGTERM, signal.SIGINT):
+        return supervisor.run()
 
 
 def _cache_for_args(args: argparse.Namespace):

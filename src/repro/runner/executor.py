@@ -15,13 +15,14 @@ of the system leans on:
   callers can zip plans with results regardless of completion order.
 
 Parallel execution runs on the persistent warm-worker pool
-(:mod:`repro.runner.pool`): workers spawn and import ``repro`` once per
-process lifetime, jobs are dispatched in dynamically sized chunks, and
-large reports return through shared memory.  A worker *crash* (process
-death — distinct from an ordinary exception, which propagates as
-before) is isolated to the poisonous job, surfaced as a failed outcome
-carrying :attr:`RunOutcome.error`, and the remaining jobs still run;
-the manifest renders the failing job id instead of the run hanging.
+(:mod:`repro.runner.pool`): workers spawn once per process lifetime,
+already holding what :func:`~repro.runner.pool.preload` imports, jobs
+are dispatched in dynamically sized chunks, and large reports return
+through shared memory.  A worker *crash* (process death — distinct
+from an ordinary exception, which propagates as before) is isolated to
+the poisonous job, surfaced as a failed outcome carrying
+:attr:`RunOutcome.error`, and the remaining jobs still run; the
+manifest renders the failing job id instead of the run hanging.
 
 Replica batching (``replica_batch=True``) additionally groups specs
 that differ only in their seed and runs each group through the
@@ -57,7 +58,7 @@ from repro.runner.governance import (
     GovernedFailure,
     ResourceLimits,
 )
-from repro.runner.pool import WorkerCrashError, get_pool
+from repro.runner.pool import WorkerCrashError, get_pool, preload
 from repro.runner.spec import RunSpec
 
 T = TypeVar("T")
@@ -257,10 +258,10 @@ class JobRunner:
     The warm pool admits one result stream at a time; the runner's
     lock enforces that at this seam, so concurrent callers serialise
     instead of tripping the pool's internal guard.  :meth:`warm`
-    pre-spawns the workers (and pre-imports the heavy entry-point
-    modules) so a long-lived service pays the startup cost at boot,
-    not on the first submission — and, crucially for ``fork`` safety,
-    from the main thread before any server threads exist.
+    runs :func:`~repro.runner.pool.preload` and pre-spawns the workers
+    so a long-lived service pays the startup cost at boot, not on the
+    first submission — and, crucially for ``fork`` safety, from the
+    main thread before any server threads exist.
     """
 
     def __init__(self, *, jobs: int = 1,
@@ -289,18 +290,20 @@ class JobRunner:
         return credit_window(self.jobs)
 
     def warm(self) -> None:
-        """Spawn the worker fleet (and import entry points) eagerly.
+        """Import what jobs need, then spawn the worker fleet, eagerly.
 
-        Governed runners fork the pool even at ``jobs=1``: enforcement
-        lives in worker processes, and forking must happen from the
-        main thread before a long-lived service starts its threads.
+        :func:`~repro.runner.pool.preload` loads the entry-point
+        registries and the assignment solver here, so no job of this
+        runner pays an import.  Governed runners fork the pool even at
+        ``jobs=1``: enforcement lives in worker processes, and forking
+        must happen from the main thread before a long-lived service
+        starts its threads.  Only a process that executes jobs should
+        call this: a hub that only dispatches never needs the solver.
         """
+        preload()
         if self.jobs > 1 or (self.limits is not None
                              and self.limits.enabled):
             get_pool(max(1, self.jobs))
-        else:
-            import repro.experiments  # noqa: F401
-            import repro.scenario  # noqa: F401
 
     def run(self, specs: Sequence[RunSpec],
             on_outcome: Optional[Callable[[RunOutcome], None]] = None,

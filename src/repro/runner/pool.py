@@ -8,8 +8,10 @@ keeps one pool of warm workers alive for the whole process, grown to
 the largest parallelism requested (smaller ``--jobs`` values use a
 subset of it):
 
-* **Warm workers** — each worker preloads ``repro.experiments`` and
-  ``repro.scenario`` once at startup, then loops on its task queue.
+* **Warm workers** — the parent runs :func:`preload` (the entry-point
+  registries and the assignment solver) before the first fork, so
+  forked workers share those pages; each worker then loops on its task
+  queue.
 * **Batched dispatch** — items are grouped into contiguous chunks
   (dynamic: ~4 chunks per worker, capped) so queue round-trips are
   amortised over several jobs; a credit scheme (at most two chunks in
@@ -126,6 +128,23 @@ def _dumps_exception(exc: BaseException) -> bytes:
             protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def preload() -> None:
+    """Import everything a job needs, once, before taking work.
+
+    That is the experiment and scenario registries and
+    ``scipy.optimize``: the MWM-family schedulers import their solver
+    inside the call, so a process that never runs a job never pays for
+    scipy.  :meth:`JobRunner.warm <repro.runner.executor.JobRunner.warm>`,
+    the pool's parent before its first fork and each worker before its
+    first task call this, so no import lands inside a job's timing or
+    under a governed job's ``RLIMIT_AS`` ceiling.
+    """
+    import scipy.optimize  # noqa: F401
+
+    import repro.experiments  # noqa: F401
+    import repro.scenario  # noqa: F401
+
+
 def _worker_main(task_queue, result_queue) -> None:
     """Worker loop: preload the heavy imports once, then serve chunks."""
     # The parent owns interrupt handling; a ^C must tear the pool down
@@ -137,8 +156,7 @@ def _worker_main(task_queue, result_queue) -> None:
     # children at exit and deadlock the parent's untimed join.  A
     # pool worker must stay plainly killable.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    import repro.experiments  # noqa: F401  (warm the entry points)
-    import repro.scenario  # noqa: F401
+    preload()  # a no-op under fork; spawn starts from a bare interpreter
 
     from multiprocessing import shared_memory
 
@@ -203,6 +221,9 @@ class WarmWorkerPool:
             resource_tracker.ensure_running()
         except Exception:  # pragma: no cover — tracker is best-effort
             pass
+        # Before the first fork, so workers inherit these imports (and
+        # share their pages) instead of each paying for them.
+        preload()
         self.workers = workers
         self._result_queue = self._ctx.Queue()
         self._task_ids = itertools.count()
@@ -583,6 +604,7 @@ __all__ = [
     "WarmWorkerPool",
     "WorkerCrashError",
     "get_pool",
+    "preload",
     "shutdown_pools",
     "SHM_THRESHOLD_BYTES",
     "SHUTDOWN_DEADLINE_S",

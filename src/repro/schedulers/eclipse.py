@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.schedulers.base import Scheduler, ScheduleResult
 from repro.schedulers.matching import Matching
@@ -100,6 +99,8 @@ class EclipseScheduler(Scheduler):
         original (``repro.schedulers.reference``), so the greedy's
         tie-breaks — and therefore the whole plan — are bit-identical.
         """
+        from scipy.optimize import linear_sum_assignment  # see mwm.py
+
         positive = remaining[remaining > 0]
         if positive.size == 0:
             return None

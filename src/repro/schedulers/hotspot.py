@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.schedulers.base import Scheduler, ScheduleResult
 from repro.schedulers.matching import Matching
@@ -46,6 +45,8 @@ class HotspotScheduler(Scheduler):
         self.threshold_bytes = threshold_bytes
 
     def compute(self, demand: np.ndarray) -> ScheduleResult:
+        from scipy.optimize import linear_sum_assignment  # see mwm.py
+
         demand = self._check_demand(demand)
         n = self.n_ports
         eligible = np.where(demand >= max(self.threshold_bytes, 1e-12),

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.schedulers.base import Scheduler, ScheduleResult
 from repro.schedulers.matching import Matching
@@ -41,6 +40,11 @@ class MwmScheduler(Scheduler):
         return self._solve(np.asarray(demand, dtype=np.float64))
 
     def _solve(self, demand: np.ndarray) -> ScheduleResult:
+        # Imported here, not at module top: only a process that runs a
+        # solver pays for scipy (job processes load it at warm-up, see
+        # repro.runner.pool.preload).
+        from scipy.optimize import linear_sum_assignment
+
         n = self.n_ports
         # linear_sum_assignment minimises, so negate.  It also requires
         # a square matrix and produces a *full* permutation; prune pairs

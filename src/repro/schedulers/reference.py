@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.schedulers.base import ScheduleResult
 from repro.schedulers.bipartite import perfect_matching_on_support
@@ -304,6 +303,8 @@ class ReferenceEclipseScheduler(EclipseScheduler):
 
     def _best_step(self, remaining: np.ndarray
                    ) -> Optional[Tuple[Matching, int, float]]:
+        from scipy.optimize import linear_sum_assignment  # see mwm.py
+
         positive = remaining[remaining > 0]
         if positive.size == 0:
             return None

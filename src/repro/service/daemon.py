@@ -359,7 +359,10 @@ class ReproDaemon:
 
     def run(self) -> int:
         """Blocking entry point; returns the process exit code."""
-        self._runner.warm()  # fork workers before any server threads
+        if self.local_execution:
+            # Fork workers before any server threads; a hub that only
+            # dispatches to remote workers never loads the solver.
+            self._runner.warm()
         try:
             asyncio.run(self.serve())
         except KeyboardInterrupt:  # pragma: no cover — belt and braces

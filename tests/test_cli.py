@@ -1,6 +1,7 @@
 """Tests for the ``repro`` CLI."""
 
 import json
+import signal
 
 import pytest
 
@@ -467,6 +468,30 @@ class TestDurabilityFlags:
     def test_chaos_rejects_bad_upstream(self, capsys):
         assert main(["chaos", "--upstream", "not-an-address"]) == 2
         assert "bad service address" in capsys.readouterr().err
+
+
+class TestSignalHandlersRestored:
+    """A command run in-process through ``main`` leaves the caller's
+    SIGTERM and SIGINT handlers as it found them."""
+
+    @staticmethod
+    def _handlers():
+        return {signum: signal.getsignal(signum)
+                for signum in (signal.SIGTERM, signal.SIGINT)}
+
+    def test_worker(self, tmp_path, capsys):
+        before = self._handlers()
+        assert main(["worker", "--connect",
+                     str(tmp_path / "none.sock"), "--quiet"]) == 2
+        assert self._handlers() == before
+
+    def test_chaos(self, capsys):
+        before = self._handlers()
+        assert main(["chaos", "--listen", "127.0.0.1:0",
+                     "--upstream", "127.0.0.1:9",
+                     "--duration", "0.2", "--quiet"]) == 0
+        assert "chaos proxy stopped" in capsys.readouterr().out
+        assert self._handlers() == before
 
 
 class TestFailoverFlags:

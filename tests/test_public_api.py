@@ -24,6 +24,9 @@ PACKAGES = [
     "repro.control",
     "repro.faults",
     "repro.experiments",
+    "repro.runner",
+    "repro.service",
+    "repro.scenario",
 ]
 
 
