@@ -19,8 +19,8 @@ executor can run them in worker processes and the cache can address
 reports by the spec's content hash.  Parallel execution uses the
 persistent warm pool (``repro.runner.pool``): workers import ``repro``
 once per process lifetime and stream dynamically chunked job batches,
-returning large reports through shared memory.  ``repro run --jobs N``
-and ``repro sweep`` are thin CLI frontends over this package.
+each returning its results through its own pipe.  ``repro run --jobs
+N`` and ``repro sweep`` are thin CLI frontends over this package.
 """
 
 from repro.runner.cache import ResultCache

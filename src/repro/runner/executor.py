@@ -17,12 +17,14 @@ of the system leans on:
 Parallel execution runs on the persistent warm-worker pool
 (:mod:`repro.runner.pool`): workers spawn once per process lifetime,
 already holding what :func:`~repro.runner.pool.preload` imports, jobs
-are dispatched in dynamically sized chunks, and large reports return
-through shared memory.  A worker *crash* (process death — distinct
-from an ordinary exception, which propagates as before) is isolated to
-the poisonous job, surfaced as a failed outcome carrying
+are dispatched in dynamically sized chunks, and each worker returns
+its results through its own pipe.  A worker *crash* (process death —
+distinct from an ordinary exception, which propagates as before) is
+isolated to the poisonous job, surfaced as a failed outcome carrying
 :attr:`RunOutcome.error`, and the remaining jobs still run; the
-manifest renders the failing job id instead of the run hanging.
+manifest renders the failing job id instead of the run hanging.  Only
+``jobs=1`` without limits runs jobs inline, where no crash can be
+isolated.
 
 Replica batching (``replica_batch=True``) additionally groups specs
 that differ only in their seed and runs each group through the
@@ -54,7 +56,6 @@ from repro.net.packet import reset_packet_ids
 from repro.runner.cache import ResultCache
 from repro.runner.governance import (
     FAIL_CRASH,
-    FAIL_ERROR,
     GovernedFailure,
     ResourceLimits,
 )
@@ -151,18 +152,21 @@ def imap_jobs(fn: Callable[[T], R], items: Sequence[T],
     delivery is still ordered).  Streaming matters for failure
     behaviour: everything yielded before a job raises has already been
     consumed by the caller — e.g. stored in the result cache — rather
-    than discarded with the batch.  With ``jobs > 1`` the work runs on
-    the persistent warm pool (:func:`repro.runner.pool.get_pool`).
+    than discarded with the batch.
 
-    With ``limits`` set, *every* item runs on the pool — even at
-    ``jobs=1`` — because governance needs a killable worker process
-    whose main thread can host the deadline alarm; deadline/memory
-    overruns stream back as in-band ``GovernedFailure`` values.
+    Items run inline, in this process, only at ``jobs=1`` with no
+    ``limits``; a job that kills its process then ends the caller too.
+    Otherwise every item, even a lone one, runs on the persistent warm
+    pool (:func:`repro.runner.pool.get_pool`), where a crash is
+    isolated to its item.  Governance needs that pool even at
+    ``jobs=1``: a killable worker process whose main thread can host
+    the deadline alarm.  Deadline/memory overruns stream back as
+    in-band ``GovernedFailure`` values.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     governed = limits is not None and limits.enabled
-    if not governed and (jobs == 1 or len(items) <= 1):
+    if not governed and jobs == 1:
         for item in items:
             yield fn(item)
         return
@@ -340,87 +344,51 @@ def execute(
     the rest of the batch completes untouched.
     """
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
-    pending: List[int] = []
-    for index, spec in enumerate(specs):
-        report = cache.load(spec) if cache is not None else None
-        if report is not None:
-            outcomes[index] = RunOutcome(spec, report, cached=True,
-                                         elapsed_s=0.0)
-            if on_outcome:
-                on_outcome(outcomes[index])
-        else:
-            pending.append(index)
 
-    def settle(index: int, report: ExperimentReport,
-               elapsed: float) -> None:
-        outcome = RunOutcome(specs[index], report, cached=False,
-                             elapsed_s=elapsed)
-        if cache is not None:
-            cache.store(outcome.spec, outcome.report)
+    def settle(index: int, outcome: RunOutcome) -> None:
         outcomes[index] = outcome
         if on_outcome:
             on_outcome(outcome)
 
-    if replica_batch:
-        remaining_groups = _group_for_batch(specs, pending)
-        while remaining_groups:
-            stream = imap_jobs(
-                _run_replica_group,
-                [tuple(specs[i] for i in group)
-                 for group in remaining_groups],
-                jobs=jobs, limits=limits)
-            try:
-                for group, group_results in zip(remaining_groups,
-                                                stream):
-                    if isinstance(group_results, GovernedFailure):
-                        # The whole fused group tripped a limit: each
-                        # member fails typed, remaining groups run.
-                        for failed in group:
-                            outcomes[failed] = _governed_outcome(
-                                specs[failed], group_results)
-                            if on_outcome:
-                                on_outcome(outcomes[failed])
-                        continue
-                    for index, (report, elapsed) in zip(group,
-                                                        group_results):
-                        settle(index, report, elapsed)
-            except WorkerCrashError as exc:
-                # Same isolation contract as the per-spec path: every
-                # spec of the crashed group fails visibly, the other
-                # groups still run.
-                for failed in remaining_groups[exc.item_index]:
-                    outcomes[failed] = _crash_outcome(specs[failed],
-                                                      exc)
-                    if on_outcome:
-                        on_outcome(outcomes[failed])
-                remaining_groups = \
-                    remaining_groups[exc.item_index + 1:]
-                continue
-            break
-        return list(outcomes)  # type: ignore[arg-type]
+    pending: List[int] = []
+    for index, spec in enumerate(specs):
+        report = cache.load(spec) if cache is not None else None
+        if report is not None:
+            settle(index, RunOutcome(spec, report, cached=True,
+                                     elapsed_s=0.0))
+        else:
+            pending.append(index)
 
-    remaining = pending
-    while remaining:
-        stream = imap_jobs(_run_one, [specs[i] for i in remaining],
-                           jobs=jobs, limits=limits)
+    # A plain run is the replica path with one spec per group.
+    groups = (_group_for_batch(specs, pending) if replica_batch
+              else [[index] for index in pending])
+    while groups:
+        stream = imap_jobs(
+            _run_replica_group,
+            [tuple(specs[i] for i in group) for group in groups],
+            jobs=jobs, limits=limits)
         try:
-            for index, value in zip(remaining, stream):
-                if isinstance(value, GovernedFailure):
-                    outcomes[index] = _governed_outcome(specs[index],
-                                                        value)
-                    if on_outcome:
-                        on_outcome(outcomes[index])
+            for group, group_results in zip(groups, stream):
+                if isinstance(group_results, GovernedFailure):
+                    # The group tripped a limit: each member fails
+                    # typed, the other groups run.
+                    for index in group:
+                        settle(index, _governed_outcome(specs[index],
+                                                        group_results))
                     continue
-                report, elapsed = value
-                settle(index, report, elapsed)
+                for index, (report, elapsed) in zip(group,
+                                                    group_results):
+                    outcome = RunOutcome(specs[index], report,
+                                         cached=False, elapsed_s=elapsed)
+                    if cache is not None:
+                        cache.store(outcome.spec, outcome.report)
+                    settle(index, outcome)
         except WorkerCrashError as exc:
-            # The poisonous job is isolated; fail it visibly (the
-            # manifest shows the job id) and keep going with the rest.
-            failed = remaining[exc.item_index]
-            outcomes[failed] = _crash_outcome(specs[failed], exc)
-            if on_outcome:
-                on_outcome(outcomes[failed])
-            remaining = remaining[exc.item_index + 1:]
+            # The poisonous group is isolated: each member fails
+            # visibly (the manifest shows its job id), the rest run.
+            for index in groups[exc.item_index]:
+                settle(index, _crash_outcome(specs[index], exc))
+            groups = groups[exc.item_index + 1:]
             continue
         break
     return list(outcomes)  # type: ignore[arg-type]

@@ -21,7 +21,7 @@ bound that blast radius:
   can tell "the entry point raised" from "the governor shot it".
 * :class:`GovernedFailure` — the in-band value a governed worker
   returns *instead of* a result when a limit trips.  It travels the
-  normal result path (pipe or shared memory), so a TIMEOUT costs one
+  normal result path (the worker's pipe), so a TIMEOUT costs one
   job, not the batch, and the pool machinery needs no new channels.
 
 Everything here is dependency-free and picklable: limits ride task

@@ -1,53 +1,56 @@
 """Persistent warm-worker pool: spawn once, stream jobs forever.
 
-The PR-1 executor paid one ``multiprocessing.Pool`` construction —
-process spawn plus a full ``import repro`` — per ``execute()`` call.
-For sweep workloads (many short jobs per CLI invocation, many
-invocations per study) that overhead rivals the work.  This module
-keeps one pool of warm workers alive for the whole process, grown to
-the largest parallelism requested (smaller ``--jobs`` values use a
-subset of it):
+A fresh ``multiprocessing.Pool`` per ``execute()`` call pays process
+spawn plus a full ``import repro`` every time.  For sweep workloads
+(many short jobs per CLI invocation, many invocations per study) that
+overhead rivals the work.  This module keeps one pool of warm workers
+alive for the whole process, grown to the largest parallelism
+requested (smaller ``--jobs`` values use a subset of it):
 
 * **Warm workers** — the parent runs :func:`preload` (the entry-point
   registries and the assignment solver) before the first fork, so
-  forked workers share those pages; each worker then loops on its task
-  queue.
+  forked workers share those pages; each worker then loops on its own
+  task queue.
 * **Batched dispatch** — items are grouped into contiguous chunks
-  (dynamic: ~4 chunks per worker, capped) so queue round-trips are
+  (dynamic: ~4 chunks per worker, capped) so round-trips are
   amortised over several jobs; a credit scheme (at most two chunks in
   flight per worker) keeps late stragglers load-balanced.
-* **Zero-copy result transport** — results above a size threshold
-  travel through ``multiprocessing.shared_memory`` instead of the
-  result pipe: the worker writes the pickle into a shared segment and
-  sends only its name; the parent unpickles straight out of the mapped
-  buffer and unlinks it, so large report payloads never stream through
-  the pipe's chunked writes.
+* **One result pipe per worker** — a worker runs its chunks in the
+  order it receives them and writes each result to its own pipe, from
+  its main thread, before it takes the next chunk.  So the head of a
+  worker's in-flight queue is always the chunk it is running, a later
+  crash can neither lose nor tear an earlier result, and the parent
+  waits on every pipe and every worker's death sentinel at once: a
+  death is seen as it happens, not at the next poll.
 * **Deterministic teardown** — workers ignore SIGINT (the parent owns
-  interrupts and force-terminates the pool on ``KeyboardInterrupt``); a
-  *crashed* worker's in-flight chunks are re-dispatched item-by-item
-  exactly once, so a poisonous item is isolated and surfaced as a
-  :class:`WorkerCrashError` carrying its index while every other item
+  interrupts and force-terminates the pool on ``KeyboardInterrupt``)
+  and exit by themselves once their parent is gone.  Only the chunk a
+  *crashed* worker was running is suspect: it is re-dispatched
+  item-by-item exactly once, so a poisonous item is isolated and
+  surfaced as a :class:`WorkerCrashError` carrying its index, while
+  the chunks queued behind it requeue intact and every other item
   still completes.  Nothing hangs and nothing is silently dropped.
 * **Resource governance** — an ``imap`` stream may carry
   :class:`~repro.runner.governance.ResourceLimits`: each job then runs
   under a wall-clock alarm and a lowered ``RLIMIT_AS`` inside the
   worker, returning typed ``GovernedFailure`` values (TIMEOUT/OOM)
   in-band instead of results.  A supervisor-side **hang watchdog**
-  backstops the alarm: a worker silent past ``deadline × grace`` for a
-  chunk (a job hung in a C loop where signals never land) is SIGKILLed
-  and its chunk requeued through the crash-isolation path, with the
-  isolated poison surfaced as a TIMEOUT instead of a CRASH.
+  backstops the alarm: a worker whose running chunk is past
+  ``deadline × grace`` (a job hung in a C loop where signals never
+  land) is SIGKILLed and the chunk requeued through the
+  crash-isolation path, with the isolated poison surfaced as a
+  TIMEOUT instead of a CRASH.
 
 Ordinary Python exceptions raised by a job do **not** kill workers:
 they are pickled back and re-raised in the parent at the failing item's
-position in the stream, preserving the PR-1 contract that results
-yielded before the raise were already consumed (e.g. cached).
+position in the stream, after every result before it was yielded
+(e.g. cached).
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
+import os
 import pickle
 import queue
 import signal
@@ -58,12 +61,12 @@ from collections import deque
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterator,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -84,14 +87,19 @@ from repro.runner.governance import (
 #: guard.
 _START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
-#: Pickled results at least this large travel via shared memory.
-SHM_THRESHOLD_BYTES = 256 * 1024
-
 #: Maximum chunks in flight per worker (credit scheme).
 _CREDITS_PER_WORKER = 2
 
 #: Upper bound on items per dispatched chunk.
 _MAX_CHUNK = 16
+
+#: How long an idle worker waits for a task before it checks that its
+#: parent is still alive (and exits if not).
+_PARENT_CHECK_S = 1.0
+
+#: Longest the parent waits between hang-watchdog sweeps; results and
+#: worker deaths wake it at once.
+_WATCHDOG_TICK_S = 0.25
 
 #: Total teardown budget for :meth:`WarmWorkerPool.shutdown` — one
 #: bounded deadline for the whole pool, not stacked per-worker joins.
@@ -145,8 +153,10 @@ def preload() -> None:
     import repro.scenario  # noqa: F401
 
 
-def _worker_main(task_queue, result_queue) -> None:
-    """Worker loop: preload the heavy imports once, then serve chunks."""
+def _worker_main(task_queue, result_pipe) -> None:
+    """Worker loop: run each chunk, send its result, take the next."""
+    import multiprocessing
+
     # The parent owns interrupt handling; a ^C must tear the pool down
     # from one place instead of racing n KeyboardInterrupts.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -157,44 +167,96 @@ def _worker_main(task_queue, result_queue) -> None:
     # pool worker must stay plainly killable.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     preload()  # a no-op under fork; spawn starts from a bare interpreter
-
-    from multiprocessing import shared_memory
-
+    parent = multiprocessing.parent_process()
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=_PARENT_CHECK_S)
+        except queue.Empty:
+            # An orphan would keep what it inherited (a hub's listening
+            # socket, a pipeline's stdout) open forever.  The parent's
+            # sentinel alone is slow to tell: every later fork holds a
+            # copy of it.  A new parent pid tells at once (POSIX).
+            if os.getppid() != parent.pid or not parent.is_alive():
+                return
+            continue
         if task is None:
-            break
-        task_id, fn, items, limits = task
+            return
+        fn, items, limits = task
         governed = limits is not None and limits.enabled
         results: List[Any] = []
-        failure: Optional[Tuple[int, bytes, str]] = None
+        failure = None
         for index, item in enumerate(items):
             try:
-                if governed:
-                    # TIMEOUT/OOM come back as in-band GovernedFailure
-                    # values — the chunk keeps going, one job pays.
-                    results.append(governed_call(fn, item, limits))
-                else:
-                    results.append(fn(item))
+                # Under limits, TIMEOUT/OOM come back as in-band
+                # GovernedFailure values — the chunk keeps going.
+                results.append(governed_call(fn, item, limits)
+                               if governed else fn(item))
             except BaseException as exc:  # noqa: BLE001 — forwarded
                 failure = (index, _dumps_exception(exc),
                            traceback.format_exc())
                 break
-        payload = pickle.dumps((results, failure),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        # Windows destroys a named segment when its last handle closes,
-        # so the close-then-attach handoff below would race the parent;
-        # results take the pipe there instead.
-        if (len(payload) >= SHM_THRESHOLD_BYTES
-                and sys.platform != "win32"):
-            segment = shared_memory.SharedMemory(create=True,
-                                                 size=len(payload))
-            segment.buf[:len(payload)] = payload
-            segment.close()
-            result_queue.put(("shm", task_id, segment.name,
-                              len(payload)))
-        else:
-            result_queue.put(("inline", task_id, payload))
+        # No helper thread: a governed job's SIGALRM can only land on
+        # this one, and a later crash cannot lose or tear this result.
+        result_pipe.send_bytes(pickle.dumps(
+            (results, failure), protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class _Chunk:
+    """Contiguous items of one stream, dispatched as one task."""
+
+    __slots__ = ("fn", "items", "start", "attempt", "started", "stale")
+
+    def __init__(self, fn: Callable, items: List[Any], start: int,
+                 attempt: int = 0) -> None:
+        self.fn = fn
+        self.items = items
+        self.start = start  # stream index of items[0]
+        self.attempt = attempt  # 1 once split out by a crash
+        #: Monotonic time the chunk became its worker's head, i.e.
+        #: began to run (the hang watchdog's clock).
+        self.started = 0.0
+        #: Its stream was abandoned: the result is read and dropped.
+        self.stale = False
+
+
+class _Worker:
+    """A worker process, its task queue, its result pipe, and the
+    chunks it holds, in the order it runs them."""
+
+    def __init__(self, ctx) -> None:
+        # Tasks stay on a queue: its feeder thread lives in the parent,
+        # where no job can kill it, and a put never blocks against a
+        # worker that is itself blocked sending a large result.
+        self.tasks = ctx.Queue()
+        self.reader, writer = ctx.Pipe(duplex=False)
+        self.process = ctx.Process(target=_worker_main,
+                                   args=(self.tasks, writer), daemon=True)
+        self.process.start()
+        # Now only the worker holds the write end: its death reads as
+        # EOF, and no later fork inherits it.
+        writer.close()
+        self.inflight: Deque[_Chunk] = deque()
+        #: The chunk the hang watchdog killed this worker for.
+        self.killed_for: Optional[_Chunk] = None
+
+    def send(self, chunk: _Chunk,
+             limits: Optional[ResourceLimits]) -> None:
+        if not self.inflight:
+            chunk.started = time.monotonic()
+        self.inflight.append(chunk)
+        self.tasks.put((chunk.fn, chunk.items, limits))
+
+    def receive(self) -> Tuple[_Chunk, bytes]:
+        """The head chunk and its pickled ``(results, failure)``.
+
+        Raises ``EOFError`` (or ``OSError`` for a message torn by the
+        worker's death) once the pipe is broken.
+        """
+        payload = self.reader.recv_bytes()
+        chunk = self.inflight.popleft()
+        if self.inflight:
+            self.inflight[0].started = time.monotonic()
+        return chunk, payload
 
 
 class WarmWorkerPool:
@@ -212,62 +274,28 @@ class WarmWorkerPool:
         import multiprocessing
 
         self._ctx = multiprocessing.get_context(_START_METHOD)
-        # Make sure the shared-memory resource tracker exists *before*
-        # workers fork, so parent and children talk to one tracker and
-        # a parent-side unlink fully retires a worker-created segment.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover — tracker is best-effort
-            pass
         # Before the first fork, so workers inherit these imports (and
         # share their pages) instead of each paying for them.
         preload()
-        self.workers = workers
-        self._result_queue = self._ctx.Queue()
-        self._task_ids = itertools.count()
-        self._procs: List[Any] = []
-        self._task_queues: List[Any] = []
-        self._outstanding: List[Set[int]] = []
-        #: task_id -> (fn, items, start index, attempt)
-        self._tasks: Dict[int, Tuple[Callable, List[Any], int, int]] = {}
-        #: task ids whose results should be dropped (abandoned imap).
-        self._discard: Set[int] = set()
-        #: task_id -> monotonic dispatch time (hang-watchdog clock).
-        self._task_started: Dict[int, float] = {}
-        #: task ids whose worker the watchdog killed (overdue chunks).
-        self._watchdog_killed: Set[int] = set()
-        #: worker indices the watchdog killed — their *other* chunks
-        #: are innocent bystanders and requeue with attempt preserved.
-        self._watchdog_victims: Set[int] = set()
+        self._workers: List[_Worker] = []
         self._streaming = False
         self._closed = False
-        for __ in range(workers):
-            self._spawn_worker()
+        self.grow_to(workers)
 
-    # -- worker lifecycle -------------------------------------------------------
-
-    def _spawn_worker(self, index: Optional[int] = None) -> None:
-        task_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_worker_main, args=(task_queue, self._result_queue),
-            daemon=True)
-        process.start()
-        if index is None:
-            self._procs.append(process)
-            self._task_queues.append(task_queue)
-            self._outstanding.append(set())
-        else:
-            self._procs[index] = process
-            self._task_queues[index] = task_queue
-            self._outstanding[index] = set()
+    @property
+    def workers(self) -> int:
+        return len(self._workers)
 
     @property
     def alive(self) -> bool:
         """True while the pool is usable (a dead worker is replaced on
         the fly, so only a shutdown pool is dead)."""
         return not self._closed
+
+    def grow_to(self, workers: int) -> None:
+        """Spawn additional workers so at least ``workers`` exist."""
+        while len(self._workers) < workers:
+            self._workers.append(_Worker(self._ctx))
 
     def shutdown(self, force: bool = False,
                  deadline_s: float = SHUTDOWN_DEADLINE_S) -> None:
@@ -278,191 +306,167 @@ class WarmWorkerPool:
         sentinel drain gets the first half of the budget, terminate
         gets the rest, and any worker still alive after that (hung in
         uninterruptible state) is SIGKILLed.  Worst case a 16-worker
-        pool tears down in ~``deadline_s``, not 16 × 3s.
+        pool tears down in ~``deadline_s``, not 16 × 3s.  A stream
+        still running on the pool ends with ``RuntimeError``.
         """
         if self._closed:
             return
         self._closed = True
         start = time.monotonic()
-        for index, process in enumerate(self._procs):
+        for worker in self._workers:
             if force:
-                process.terminate()
+                worker.process.terminate()
             else:
                 try:
-                    self._task_queues[index].put(None)
+                    worker.tasks.put(None)
                 except Exception:
-                    process.terminate()
+                    worker.process.terminate()
         # Phase 1: polite join, capped at half the budget so a worker
         # mid-job cannot eat the terminate phase's share.
         self._join_until(start + deadline_s / 2)
-        stubborn = [p for p in self._procs if p.is_alive()]
-        if stubborn:
-            for process in stubborn:
-                process.terminate()
-            self._join_until(start + deadline_s)
-        for process in self._procs:
-            if not process.is_alive():
-                continue
-            # Beyond SIGTERM's reach: SIGKILL cannot be ignored.
-            kill = getattr(process, "kill", process.terminate)
-            kill()
-            process.join(timeout=1.0)
+        for worker in self._workers:
+            if worker.process.is_alive():
+                worker.process.terminate()
+        self._join_until(start + deadline_s)
+        for worker in self._workers:
+            if worker.process.is_alive():
+                # Beyond SIGTERM's reach: SIGKILL cannot be ignored.
+                worker.process.kill()
+                worker.process.join(timeout=1.0)
 
     def _join_until(self, deadline: float) -> None:
         """Join every live worker against one shared deadline."""
-        for process in self._procs:
+        for worker in self._workers:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return
-            if process.is_alive():
-                process.join(timeout=remaining)
+            worker.process.join(timeout=remaining)
 
-    # -- dispatch ---------------------------------------------------------------
+    # -- one stream -----------------------------------------------------------
 
-    def grow_to(self, workers: int) -> None:
-        """Spawn additional workers so at least ``workers`` exist."""
-        while len(self._procs) < workers:
-            self._spawn_worker()
-        self.workers = len(self._procs)
-
-    def _pick_worker(self, limit: int) -> Optional[int]:
-        """Least-loaded alive worker (among the first ``limit``) with a
-        free credit, or None."""
-        best = None
-        best_load = _CREDITS_PER_WORKER
-        for index, process in enumerate(self._procs[:limit]):
-            if not process.is_alive():
-                continue
-            load = len(self._outstanding[index])
-            if load < best_load:
-                best = index
-                best_load = load
-        return best
-
-    def _dispatch_backlog(self, backlog: deque, active: Set[int],
-                          limit: int,
-                          limits: Optional[ResourceLimits] = None) -> None:
-        """Hand backlog chunks to free credits (front of queue first)."""
+    def _dispatch(self, backlog: Deque[_Chunk], limit: int,
+                  limits: Optional[ResourceLimits]) -> None:
+        """Hand backlog chunks (front first) to free credits among the
+        first ``limit`` workers, least loaded first."""
         while backlog:
-            worker = self._pick_worker(limit)
-            if worker is None:
+            worker = min(self._workers[:limit],
+                         key=lambda w: len(w.inflight))
+            if len(worker.inflight) >= _CREDITS_PER_WORKER:
                 return
-            fn, items, start, attempt = backlog.popleft()
-            task_id = next(self._task_ids)
-            self._tasks[task_id] = (fn, items, start, attempt)
-            self._outstanding[worker].add(task_id)
-            active.add(task_id)
-            self._task_started[task_id] = time.monotonic()
-            self._task_queues[worker].put((task_id, fn, items, limits))
+            worker.send(backlog.popleft(), limits)
 
-    def _settle(self, task_id: int) -> Tuple[Callable, List[Any], int, int]:
-        for outstanding in self._outstanding:
-            outstanding.discard(task_id)
-        self._task_started.pop(task_id, None)
-        # A result that raced the watchdog's kill still counts: drop
-        # the stale kill mark so the reap doesn't mistype survivors.
-        self._watchdog_killed.discard(task_id)
-        return self._tasks.pop(task_id)
+    def _step(self, backlog: Deque[_Chunk], results: Dict[int, Any],
+              failed: Dict[int, BaseException],
+              limits: Optional[ResourceLimits]) -> None:
+        """Wait for results or deaths (one watchdog tick at most) and
+        settle what arrived."""
+        from multiprocessing.connection import wait
 
-    def _watchdog_sweep(self, limits: Optional[ResourceLimits]) -> None:
-        """Kill workers whose oldest chunk is past ``deadline × grace``.
+        workers = list(self._workers)
+        ready = set(wait([w.reader for w in workers]
+                         + [w.process.sentinel for w in workers],
+                         timeout=_WATCHDOG_TICK_S))
+        for index, worker in enumerate(workers):
+            dead = worker.process.sentinel in ready
+            if worker.reader in ready or dead:
+                # Every complete result counts, even from the dead.
+                if not self._collect(worker, results, failed) or dead:
+                    self._reap(index, worker, backlog, failed)
+        self._watchdog(limits)
+
+    def _collect(self, worker: _Worker, results: Dict[int, Any],
+                 failed: Dict[int, BaseException]) -> bool:
+        """Settle every complete result waiting on ``worker``'s pipe.
+
+        Returns False once the pipe is broken: EOF, or a last message
+        torn by the worker's death.
+        """
+        while True:
+            try:
+                if not worker.reader.poll():
+                    return True
+                chunk, payload = worker.receive()
+            except (EOFError, OSError):
+                return False
+            if chunk.stale:
+                continue
+            chunk_results, failure = pickle.loads(payload)
+            for offset, value in enumerate(chunk_results):
+                results[chunk.start + offset] = value
+            if failure is not None:
+                offset, exc_payload, text = failure
+                exc = pickle.loads(exc_payload)
+                exc.__cause__ = RuntimeError(f"worker traceback:\n{text}")
+                failed[chunk.start + offset] = exc
+
+    def _reap(self, index: int, worker: _Worker, backlog: Deque[_Chunk],
+              failed: Dict[int, BaseException]) -> None:
+        """Replace a dead worker and requeue the chunks it held.
+
+        Only its head chunk ran, so only that chunk is suspect.  Its
+        first crash splits it into single-item chunks at the front of
+        the backlog (deterministic isolation); a crash of such a retry
+        makes that item the poison, recorded in ``failed``.  A
+        watchdog kill is typed TIMEOUT.  The chunks behind the head
+        never started and requeue intact, with no attempt charged; so
+        does the head when its predecessor's result landed after the
+        watchdog's kill (the kill was not for it).
+        """
+        worker.process.kill()  # its pipe broke: finish it off
+        worker.process.join(timeout=1.0)
+        if self._closed:
+            return
+        self._workers[index] = _Worker(self._ctx)
+        if self._closed:  # a shutdown raced the respawn
+            self._workers[index].process.kill()
+        if not worker.inflight:
+            return
+        head, *rest = worker.inflight
+        for chunk in reversed(rest):
+            if not chunk.stale:
+                backlog.appendleft(chunk)
+        if head.stale:
+            return
+        timed_out = head is worker.killed_for
+        if worker.killed_for is not None and not timed_out:
+            backlog.appendleft(head)
+        elif timed_out and len(head.items) == 1:
+            failed[head.start] = WorkerCrashError(
+                f"watchdog killed job #{head.start}: no result past "
+                "deadline × grace (job hung beyond signal reach)",
+                head.start, kind=FAIL_TIMEOUT)
+        elif not timed_out and head.attempt > 0:
+            failed[head.start] = WorkerCrashError(
+                f"worker process died twice executing job #{head.start}",
+                head.start)
+        else:
+            attempt = head.attempt if timed_out else 1
+            for offset in reversed(range(len(head.items))):
+                backlog.appendleft(_Chunk(
+                    head.fn, head.items[offset:offset + 1],
+                    head.start + offset, attempt))
+
+    def _watchdog(self, limits: Optional[ResourceLimits]) -> None:
+        """Kill workers whose running chunk is past ``deadline × grace``.
 
         The in-worker alarm normally converts an overrun into an
         in-band TIMEOUT; a worker still silent past the watchdog
         deadline is hung where signals cannot reach (C inner loop,
-        blocked SIGALRM) and only SIGKILL clears it.  The kill routes
-        the chunk through :meth:`_reap_crashed_workers`, which types
-        the isolated poison as TIMEOUT rather than CRASH.
+        blocked SIGALRM) and only SIGKILL clears it.  The death routes
+        the chunk through :meth:`_reap`, which types the isolated
+        poison as TIMEOUT rather than CRASH.
         """
         if limits is None or limits.timeout_s is None:
             return
         now = time.monotonic()
-        for index, process in enumerate(self._procs):
-            if not process.is_alive():
+        for worker in self._workers:
+            if not worker.inflight or worker.killed_for is not None:
                 continue
-            for task_id in self._outstanding[index]:
-                started = self._task_started.get(task_id)
-                task = self._tasks.get(task_id)
-                if started is None or task is None:
-                    continue
-                deadline = limits.watchdog_deadline_s(len(task[1]))
-                if now - started <= deadline:
-                    continue
-                self._watchdog_killed.add(task_id)
-                self._watchdog_victims.add(index)
-                kill = getattr(process, "kill", process.terminate)
-                kill()
-                break  # the worker is gone; its other chunks reap too
-
-    def _load_payload(self, message) -> Tuple[List[Any], Optional[tuple]]:
-        if message[0] == "inline":
-            return pickle.loads(message[2])
-        from multiprocessing import shared_memory
-
-        name, size = message[2], message[3]
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            # Unpickle straight from the mapped buffer — the payload
-            # never travels through the result pipe.
-            return pickle.loads(segment.buf[:size])
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def _reap_crashed_workers(self, backlog: deque,
-                              crashes: Dict[int, Tuple[str, str]]) -> None:
-        """Requeue dead workers' chunks; record isolated poison items.
-
-        First crash of a chunk: split into single-item chunks at the
-        *front* of the backlog (deterministic isolation).  Crash of an
-        isolation retry: that item is the poison — recorded in
-        ``crashes`` as ``(kind, message)`` for the stream to raise at
-        its position.  Watchdog kills are typed TIMEOUT; chunks that
-        merely shared a watchdog-killed worker are innocent and
-        requeue intact with their attempt count preserved.
-        """
-        for index, process in enumerate(self._procs):
-            if process.is_alive():
-                continue
-            died = sorted(self._outstanding[index])
-            victim = index in self._watchdog_victims
-            self._watchdog_victims.discard(index)
-            self._spawn_worker(index)
-            for task_id in reversed(died):
-                fn, items, start, attempt = self._tasks.pop(task_id)
-                self._task_started.pop(task_id, None)
-                timed_out = task_id in self._watchdog_killed
-                self._watchdog_killed.discard(task_id)
-                if task_id in self._discard:
-                    self._discard.discard(task_id)
-                    continue
-                if timed_out:
-                    if len(items) == 1:
-                        crashes[start] = (FAIL_TIMEOUT, (
-                            f"watchdog killed job #{start}: no result "
-                            "past deadline × grace (job hung beyond "
-                            "signal reach)"))
-                        continue
-                    # Isolate: one of these items is the hang.
-                    for offset in reversed(range(len(items))):
-                        backlog.appendleft(
-                            (fn, items[offset:offset + 1],
-                             start + offset, attempt))
-                    continue
-                if victim:
-                    # Bystander chunk on a watchdog-killed worker —
-                    # replay unchanged, no attempt charged.
-                    backlog.appendleft((fn, items, start, attempt))
-                    continue
-                if attempt > 0:
-                    crashes[start] = (FAIL_CRASH, (
-                        "worker process died twice executing job "
-                        f"#{start}"))
-                    continue
-                for offset in reversed(range(len(items))):
-                    backlog.appendleft(
-                        (fn, items[offset:offset + 1],
-                         start + offset, 1))
+            head = worker.inflight[0]
+            if now - head.started > limits.watchdog_deadline_s(
+                    len(head.items)):
+                worker.killed_for = head
+                worker.process.kill()
 
     def imap(self, fn: Callable, items: Sequence,
              chunk_size: Optional[int] = None,
@@ -497,16 +501,14 @@ class WarmWorkerPool:
             chunk_size = max(1, min(
                 _MAX_CHUNK,
                 (len(items) + 4 * limit - 1) // (4 * limit)))
-        backlog: deque = deque(
-            (fn, items[start:start + chunk_size], start, 0)
+        backlog: Deque[_Chunk] = deque(
+            _Chunk(fn, items[start:start + chunk_size], start)
             for start in range(0, len(items), chunk_size))
         results: Dict[int, Any] = {}
-        errors: Dict[int, Tuple[BaseException, str]] = {}
-        crashes: Dict[int, Tuple[str, str]] = {}
-        active: Set[int] = set()
+        #: item index -> what the stream raises there
+        failed: Dict[int, BaseException] = {}
         self._streaming = True
         try:
-            self._dispatch_backlog(backlog, active, limit, limits)
             next_index = 0
             while next_index < len(items):
                 if next_index in results:
@@ -514,42 +516,12 @@ class WarmWorkerPool:
                     next_index += 1
                     yield value
                     continue
-                if next_index in crashes:
-                    kind, message_text = crashes[next_index]
-                    raise WorkerCrashError(message_text, next_index,
-                                           kind=kind)
-                if next_index in errors:
-                    exc, text = errors[next_index]
-                    raise exc from RuntimeError(
-                        f"worker traceback:\n{text}")
-                try:
-                    message = self._result_queue.get(timeout=0.25)
-                except queue.Empty:
-                    self._watchdog_sweep(limits)
-                    self._reap_crashed_workers(backlog, crashes)
-                    self._dispatch_backlog(backlog, active, limit,
-                                           limits)
-                    continue
-                task_id = message[1]
-                if task_id in self._discard:
-                    # Stale result of an abandoned stream: release any
-                    # shared segment, free the credit, move on.
-                    self._discard.discard(task_id)
-                    self._settle(task_id)
-                    self._load_payload(message)
-                    self._dispatch_backlog(backlog, active, limit,
-                                           limits)
-                    continue
-                __, chunk, start, __attempt = self._settle(task_id)
-                active.discard(task_id)
-                chunk_results, failure = self._load_payload(message)
-                for offset, value in enumerate(chunk_results):
-                    results[start + offset] = value
-                if failure is not None:
-                    fail_offset, exc_payload, text = failure
-                    errors[start + fail_offset] = (
-                        pickle.loads(exc_payload), text)
-                self._dispatch_backlog(backlog, active, limit, limits)
+                if next_index in failed:
+                    raise failed.pop(next_index)
+                if self._closed:
+                    raise RuntimeError("pool is shut down")
+                self._dispatch(backlog, limit, limits)
+                self._step(backlog, results, failed, limits)
         except KeyboardInterrupt:
             # Deterministic teardown: no orphaned workers, no hang on
             # a queue feeder thread mid-^C.
@@ -558,10 +530,11 @@ class WarmWorkerPool:
             raise
         finally:
             self._streaming = False
-            # An abandoned generator (consumer raised or closed early)
-            # leaves its in-flight results to be drained lazily by the
-            # next stream.
-            self._discard.update(active & set(self._tasks))
+            # An abandoned stream's chunks still run where they were
+            # sent; later streams read their results and drop them.
+            for worker in self._workers:
+                for chunk in worker.inflight:
+                    chunk.stale = True
 
 
 _POOL: Optional[WarmWorkerPool] = None
@@ -606,6 +579,5 @@ __all__ = [
     "get_pool",
     "preload",
     "shutdown_pools",
-    "SHM_THRESHOLD_BYTES",
     "SHUTDOWN_DEADLINE_S",
 ]

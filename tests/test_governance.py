@@ -21,7 +21,6 @@ tests: a diagnostic job whose failure mode is chosen by override.
 import collections
 import json
 import os
-import pathlib
 import shutil
 import threading
 import time
@@ -127,12 +126,19 @@ class TestGovernedExecution:
         kinds = {o.kind for o in governed if o.error}
         assert kinds == {FAIL_TIMEOUT, FAIL_OOM}
 
-    def test_watchdog_kills_signal_blocking_job(self, fresh_pools):
+    @pytest.mark.parametrize("worker", ["fresh", "warm"])
+    def test_watchdog_kills_signal_blocking_job(self, fresh_pools,
+                                                worker):
         # hang-hard blocks SIGALRM, so the in-worker alarm can never
-        # fire; only the supervisor-side watchdog can reclaim it.
+        # fire; only the supervisor-side watchdog can reclaim it.  A
+        # warm worker (one that already returned a result) must have
+        # no second thread for the alarm to land on instead.
+        limits = ResourceLimits(timeout_s=0.5)
+        if worker == "warm":
+            (warmup,) = execute([probe_spec("ok")], limits=limits)
+            assert warmup.error is None
         started = time.monotonic()
-        (outcome,) = execute([probe_spec("hang-hard")],
-                             limits=ResourceLimits(timeout_s=0.5))
+        (outcome,) = execute([probe_spec("hang-hard")], limits=limits)
         elapsed = time.monotonic() - started
         assert outcome.kind == FAIL_TIMEOUT
         assert "watchdog" in outcome.error
@@ -170,8 +176,8 @@ class TestTaxonomyRoundTrip:
         assert "QUARANTINED" in manifest.render()
 
     def test_crash_kind_round_trips(self, fresh_pools):
-        # Two specs so the batch routes through the pool (a lone
-        # ungoverned spec runs in-process, where a crash is fatal).
+        # jobs=2 runs the batch on the pool (ungoverned jobs=1 runs
+        # in-process, where a crash is fatal).
         outcomes = execute([probe_spec("ok"), probe_spec("crash")],
                            jobs=2)
         crashed = outcomes[1]
@@ -493,17 +499,26 @@ class TestGovernedViaServer:
 class TestBoundedShutdown:
     def test_shutdown_with_hung_worker_is_bounded(self, fresh_pools):
         pool = get_pool(2)
-        consumer = threading.Thread(
-            target=lambda: list(pool.imap(_sleep_forever, [0, 1],
-                                          chunk_size=1)),
-            daemon=True)
+        raised = []
+
+        def consume():
+            try:
+                list(pool.imap(_sleep_forever, [0, 1], chunk_size=1))
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        consumer = threading.Thread(target=consume, daemon=True)
         consumer.start()
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
-            if pool._task_started:  # workers picked up the chunks
+            if all(w.inflight for w in pool._workers):  # dispatched
                 break
             time.sleep(0.02)
         started = time.monotonic()
         pool.shutdown(force=True)
         assert time.monotonic() - started < 12.0
-        assert all(not p.is_alive() for p in pool._procs)
+        # The live stream ends, and the closed pool respawns nothing.
+        consumer.join(timeout=10.0)
+        assert not consumer.is_alive()
+        assert [str(exc) for exc in raised] == ["pool is shut down"]
+        assert all(not w.process.is_alive() for w in pool._workers)

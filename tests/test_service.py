@@ -1344,7 +1344,10 @@ class TestCacheTransport:
 
     def test_corrupted_cache_payload_evicted_and_reexecuted(
             self, start_daemon, start_worker, fake_experiment):
-        daemon = start_daemon()
+        # Every execution on one in-process jobs=1 worker, so the
+        # fake's call counter sees each of them.
+        daemon = start_daemon(local_execution=False)
+        handle = start_worker(daemon.bound_address, jobs=1)
         spec = fake_experiment.spec(33)
         execute_via_server(daemon.bound_address, [spec])
         assert fake_experiment.calls[33] == 1
@@ -1354,7 +1357,6 @@ class TestCacheTransport:
         entry = json.loads(path.read_text())
         entry["report"]["data"]["seed"] = 9999
         path.write_text(json.dumps(entry))
-        handle = start_worker(daemon.bound_address, jobs=8)
         outcomes = execute_via_server(daemon.bound_address, [spec])
         # The corrupt entry was caught at cache-lookup time, evicted,
         # and the spec transparently re-executed on the worker.
