@@ -18,12 +18,12 @@ Parallel execution runs on the persistent warm-worker pool
 (:mod:`repro.runner.pool`): workers spawn once per process lifetime,
 already holding what :func:`~repro.runner.pool.preload` imports, jobs
 are dispatched in dynamically sized chunks, and each worker returns
-its results through its own pipe.  A worker *crash* (process death —
-distinct from an ordinary exception, which propagates as before) is
-isolated to the poisonous job, surfaced as a failed outcome carrying
-:attr:`RunOutcome.error`, and the remaining jobs still run; the
-manifest renders the failing job id instead of the run hanging.  Only
-``jobs=1`` without limits runs jobs inline, where no crash can be
+its results through its own pipe.  A job that raises fails only its
+own row, as a typed ``ERROR`` outcome.  A worker *crash* (process
+death) is isolated to the poisonous job, surfaced as a failed outcome
+carrying :attr:`RunOutcome.error`, and the remaining jobs still run;
+the manifest renders the failing job id instead of the run hanging.
+Only ``jobs=1`` without limits runs jobs inline, where no crash can be
 isolated.
 
 Replica batching (``replica_batch=True``) additionally groups specs
@@ -49,6 +49,7 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from repro.experiments.base import ExperimentReport
@@ -56,7 +57,9 @@ from repro.net.packet import reset_packet_ids
 from repro.runner.cache import ResultCache
 from repro.runner.governance import (
     FAIL_CRASH,
+    FAIL_ERROR,
     GovernedFailure,
+    JobTimeoutError,
     ResourceLimits,
 )
 from repro.runner.pool import WorkerCrashError, get_pool, preload
@@ -108,25 +111,36 @@ def _run_one(spec: RunSpec) -> Tuple[ExperimentReport, float]:
 
 
 def _run_replica_group(
-        specs: Sequence[RunSpec]) -> List[Tuple[ExperimentReport, float]]:
+        specs: Sequence[RunSpec],
+) -> Union[List[Tuple[ExperimentReport, float]], GovernedFailure]:
     """Execute a seed-only replica group through the batch entry point.
 
     Top-level for worker pickling.  The batch entry point guarantees
     reports byte-identical to running each spec alone; elapsed time is
-    attributed evenly (the batch is one fused execution).
+    attributed evenly (the batch is one fused execution).  A group
+    whose job raises comes back as an in-band ``GovernedFailure(ERROR)``,
+    so only its own rows fail and the rest of the batch runs; a
+    deadline or memory overrun still propagates to
+    :func:`~repro.runner.governance.governed_call`, which types it.
     """
     from repro.experiments import BATCH_ENTRY_POINTS
 
-    run_batch = BATCH_ENTRY_POINTS.get(specs[0].experiment_id)
-    if run_batch is None or len(specs) == 1:
-        return [_run_one(spec) for spec in specs]
-    reset_packet_ids()
-    start = time.perf_counter()
-    reports = run_batch([spec.to_config() for spec in specs])
-    if len(reports) != len(specs):
-        raise RuntimeError(
-            f"batch entry point for {specs[0].experiment_id!r} returned "
-            f"{len(reports)} reports for {len(specs)} configs")
+    try:
+        run_batch = BATCH_ENTRY_POINTS.get(specs[0].experiment_id)
+        if run_batch is None or len(specs) == 1:
+            return [_run_one(spec) for spec in specs]
+        reset_packet_ids()
+        start = time.perf_counter()
+        reports = run_batch([spec.to_config() for spec in specs])
+        if len(reports) != len(specs):
+            raise RuntimeError(
+                f"batch entry point for {specs[0].experiment_id!r} "
+                f"returned {len(reports)} reports for {len(specs)} "
+                "configs")
+    except (JobTimeoutError, MemoryError):
+        raise
+    except Exception as exc:  # noqa: BLE001
+        return GovernedFailure(FAIL_ERROR, f"{type(exc).__name__}: {exc}")
     elapsed = (time.perf_counter() - start) / len(specs)
     return [(report, elapsed) for report in reports]
 
@@ -370,8 +384,8 @@ def execute(
         try:
             for group, group_results in zip(groups, stream):
                 if isinstance(group_results, GovernedFailure):
-                    # The group tripped a limit: each member fails
-                    # typed, the other groups run.
+                    # The group raised or tripped a limit: each member
+                    # fails typed, the other groups run.
                     for index in group:
                         settle(index, _governed_outcome(specs[index],
                                                         group_results))

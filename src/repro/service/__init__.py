@@ -6,13 +6,16 @@ Layering::
     session.py    per-connection accounting and backpressure
     journal.py    write-ahead journal under the cache dir — crash
                   recovery for the daemon (``--resume`` replay)
-    daemon.py     ReproDaemon — asyncio server owning the shared
-                  ResultCache and the warm JobRunner/worker pool,
-                  with in-flight cross-client dedup, a lease
-                  scheduler over the local pool + registered remote
-                  workers, persistent worker identity (reconnect
-                  reclaims parked leases), fleet cache transport
-                  (cache-lookup / cache-push) and graceful drain
+    hub.py        HubCore — the hub's policy with no I/O, one
+                  ``handle(event, now) -> effects`` call: in-flight
+                  cross-client dedup, a lease scheduler over the
+                  local pool + registered remote workers, persistent
+                  worker identity (reconnect reclaims parked leases),
+                  fleet cache transport (cache-lookup / cache-push),
+                  quarantine, admission control and graceful drain
+    daemon.py     ReproDaemon — the asyncio shell around HubCore,
+                  owning the sockets, the shared ResultCache, the
+                  journal file and the warm JobRunner/worker pool
     client.py     ServiceClient + execute_via_server (the CLI's
                   ``--server`` routing) with RetryPolicy backoff
     worker.py     ReproWorker — a remote node (``repro worker``)
@@ -52,7 +55,8 @@ from repro.service.client import (
     ServiceError,
     execute_via_server,
 )
-from repro.service.daemon import DaemonStats, ReproDaemon, WorkerState
+from repro.service.daemon import ReproDaemon
+from repro.service.hub import DaemonStats, WorkerState
 from repro.service.journal import ServiceJournal, journal_path
 from repro.service.protocol import (
     MAX_FRAME_BYTES,

@@ -1,13 +1,12 @@
 """Write-ahead journal that makes a sweep campaign survive daemon death.
 
-The daemon's queue and lease table live in memory; a SIGKILL would
+The hub's queue and lease table live in memory; a SIGKILL would
 silently drop every spec a client had submitted but not yet received.
 The journal closes that hole with the cheapest durable structure that
 works: an append-only JSONL file under the cache directory, one record
 per state transition::
 
     {"op": "queued",      "key": K, "spec": {<canonical spec>}}
-    {"op": "leased",      "key": K, "executor": "local" | "<worker uid>"}
     {"op": "settled",     "key": K, "error": null | str}
     {"op": "quarantined", "key": K, "kind": "...", "error": "..."}
     {"op": "drained"}
@@ -15,22 +14,24 @@ per state transition::
 Recovery is a linear replay: every ``queued`` key without a matching
 ``settled`` is still owed to somebody, so a restarting daemon
 (``repro serve --resume``, the default) re-enqueues those specs before
-accepting connections.  ``leased`` records are advisory — a lease held
-at crash time is simply re-run, which is safe because specs are
-content-addressed and entry points are pure: the re-execution produces
-byte-identical payloads, and warm specs short-circuit through the
-result cache anyway.  ``quarantined`` records poison specs (failed the
-same way twice) so a restart cannot resurrect a retry storm;
-``drained`` marks a clean shutdown, after which replay is a no-op —
-the quarantine is campaign-scoped, so a drain wipes it too.
+accepting connections.  Which executor held a spec at crash time is
+not recorded: a lease in flight is simply re-run, which is safe
+because specs are content-addressed and entry points are pure — the
+re-execution produces byte-identical payloads, and warm specs
+short-circuit through the result cache anyway.  (Journals written
+before this rule may hold ``leased`` lines; replay skips them.)
+``quarantined`` records poison specs (failed the same way twice) so a
+restart cannot resurrect a retry storm; ``drained`` marks a clean
+shutdown, after which replay is a no-op — the quarantine is
+campaign-scoped, so a drain wipes it too.
 
 Two failure modes the format is built around:
 
 * **Torn tail.**  A crash mid-append leaves a truncated final line.
   Replay stops at the first undecodable line instead of refusing the
   whole file — everything before the tear is trustworthy because each
-  record is flushed (and fsynced for ``queued``) before the state
-  transition it describes is acted on.
+  record is flushed (and fsynced, for the ops whose loss would break
+  recovery) before the state transition it describes is acted on.
 * **Unbounded growth.**  Long-lived daemons compact: the file is
   rewritten to contain only live (unsettled) entries whenever the
   dead-record count crosses a threshold, via tmp + ``os.replace`` so
@@ -50,7 +51,17 @@ from typing import Any, Callable, Dict, Iterator, Optional, TextIO, Tuple
 JOURNAL_NAME = "service-journal.jsonl"
 
 #: Compact once this many dead (settled/superseded) records accumulate.
-COMPACT_THRESHOLD = 4096
+#: A settled job leaves two (its ``queued`` and ``settled`` lines), so
+#: the file is rewritten about every 1365 settled jobs.
+COMPACT_THRESHOLD = 2730
+
+#: Every op a journal holds, and whether its append is fsynced: losing
+#: ``queued`` breaks the durability contract (a spec accepted from a
+#: client must survive us), losing ``quarantined`` lets a restart re-run
+#: a known poison spec, and losing ``drained`` replays a campaign the
+#: operator ended.
+FSYNC_OPS = {"queued": True, "settled": False, "quarantined": True,
+             "drained": True}
 
 
 def journal_path(cache_dir) -> Path:
@@ -131,10 +142,11 @@ def replay_full(
 
 
 class ServiceJournal:
-    """Append-side handle used by a running daemon.
+    """Append-side handle used by a running daemon (or a standby).
 
     Not thread-safe by itself — the daemon serializes all appends on
-    its event loop, which is the only writer.
+    its event loop, which is the only writer.  Every append goes
+    through :meth:`record_entry`.
     """
 
     def __init__(self, path) -> None:
@@ -142,90 +154,62 @@ class ServiceJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file: Optional[TextIO] = open(
             self.path, "a", encoding="utf-8")
-        self._live = 0
         self._dead = 0
-        #: Quarantine roster recovered from disk (filled by
-        #: :meth:`recover`); ``{key: {"kind", "error"}}``.
+        #: The quarantine roster the file holds, ``{key: {"kind",
+        #: "error"}}``: set by :meth:`compact` (and so by
+        #: :meth:`recover`), extended by each ``quarantined`` append.
         self.quarantined: Dict[str, Dict[str, str]] = {}
-        #: Called with each record *after* it is durably appended —
-        #: the daemon hangs its standby-peer relay here.  Appends all
-        #: happen on the daemon's event loop, so the callback may
-        #: touch loop state directly.  Compaction does not fire it
-        #: (the logical state is unchanged by a rewrite).
+        #: Called with each record *after* it is durably appended
+        #: (a standby's mirror can hang here).  Compaction does not
+        #: fire it: the logical state is unchanged by a rewrite.
         self.on_append: Optional[Callable[[Dict[str, Any]], None]] = None
 
     # -- appends ------------------------------------------------------------
 
-    def record_queued(self, key: str, spec_canonical: dict) -> None:
-        # fsync: this is the one record whose loss breaks the durability
-        # contract (a spec accepted from a client must survive us).
-        self._append({"op": "queued", "key": key, "spec": spec_canonical},
-                     fsync=True)
-        self._live += 1
+    def record_entry(self, record: Dict[str, Any]) -> None:
+        """Append one record; the single write path, keyed by its op.
 
-    def record_leased(self, key: str, executor: str) -> None:
-        self._append({"op": "leased", "key": key, "executor": executor})
-        self._dead += 1
-
-    def record_settled(self, key: str, error: Optional[str]) -> None:
-        self._append({"op": "settled", "key": key, "error": error})
-        self._live = max(0, self._live - 1)
-        self._dead += 2  # the settled record + the queued one it retires
-
-    def record_quarantined(self, key: str, kind: str,
-                           error: str) -> None:
-        # fsync for the same reason as ``queued``: losing this record
-        # would let a restart re-run a known poison spec.
-        self._append({"op": "quarantined", "key": key, "kind": kind,
-                      "error": error}, fsync=True)
-
-    def record_drained(self) -> None:
-        self._append({"op": "drained"}, fsync=True)
-
-    def mirror(self, record: Dict[str, Any]) -> None:
-        """Append one relayed record verbatim (the standby-hub path).
-
-        The record already carries its op; bookkeeping mirrors what
-        the corresponding ``record_*`` method would have done, and
-        durability matches too (fsync for the ops whose loss would
-        break the recovery contract).
+        Ops outside :data:`FSYNC_OPS` are not journal records (a
+        ``leased`` line relayed by an older primary, say) and are
+        dropped.  A dying disk must not take the daemon down with it:
+        a failed write degrades the journal to best-effort, and the
+        bookkeeping still follows the record.
         """
         op = record.get("op")
-        if op not in ("queued", "leased", "settled", "quarantined",
-                      "drained"):
+        if op not in FSYNC_OPS or self._file is None:
             return
-        self._append(record, fsync=op in ("queued", "quarantined",
-                                          "drained"))
-        if op == "queued":
-            self._live += 1
-        elif op == "leased":
-            self._dead += 1
+        if op == "quarantined":
+            apply_record({}, self.quarantined, record)
         elif op == "settled":
-            self._live = max(0, self._live - 1)
-            self._dead += 2
-        elif op == "quarantined":
-            key = record.get("key")
-            if isinstance(key, str):
-                self.quarantined[key] = {
-                    "kind": str(record.get("kind") or "ERROR"),
-                    "error": str(record.get("error") or ""),
-                }
-
-    def _append(self, record: Dict[str, Any], fsync: bool = False) -> None:
-        if self._file is None:
-            return
+            self._dead += 2  # the settled record + the queued it retires
         try:
             self._file.write(json.dumps(
                 record, sort_keys=True, separators=(",", ":")) + "\n")
             self._file.flush()
-            if fsync:
+            if FSYNC_OPS[op]:
                 os.fsync(self._file.fileno())
         except (OSError, ValueError):
-            # A dying disk must not take the daemon down with it; the
-            # journal degrades to best-effort and recovery loses depth.
             return
         if self.on_append is not None:
             self.on_append(record)
+
+    #: The standby's path: a relayed record, appended verbatim.
+    mirror = record_entry
+
+    def record_queued(self, key: str, spec_canonical: dict) -> None:
+        self.record_entry({"op": "queued", "key": key,
+                           "spec": spec_canonical})
+
+    def record_settled(self, key: str, error: Optional[str]) -> None:
+        self.record_entry({"op": "settled", "key": key, "error": error})
+
+    def record_quarantined(self, key: str, kind: str,
+                           error: str) -> None:
+        self.record_entry({"op": "quarantined", "key": key,
+                           "kind": kind, "error": error})
+
+    def record_drained(self) -> None:
+        self.record_entry({"op": "drained"})
 
     # -- maintenance --------------------------------------------------------
 
@@ -236,10 +220,11 @@ class ServiceJournal:
     def compact(self, live: Dict[str, dict],
                 quarantined: Optional[Dict[str, Dict[str, str]]] = None,
                 ) -> None:
-        """Rewrite the file to exactly the given live set, atomically.
+        """Rewrite the file to exactly the given state, atomically.
 
-        ``quarantined`` entries are preserved ahead of the live set —
-        compaction must never launder a poison spec back to runnable.
+        ``quarantined`` (by default the journal's own roster) is
+        written ahead of the live set — compaction must never launder
+        a poison spec back to runnable — and becomes the roster.
         """
         if self._file is None:
             return
@@ -270,7 +255,7 @@ class ServiceJournal:
             except OSError:
                 pass
         self._file = open(self.path, "a", encoding="utf-8")
-        self._live, self._dead = len(live), 0
+        self.quarantined, self._dead = dict(quarantined), 0
 
     def close(self) -> None:
         if self._file is not None:
@@ -292,7 +277,6 @@ class ServiceJournal:
         path = journal_path(cache_dir)
         live, quarantined = replay_full(path)
         journal = cls(path)
-        journal.quarantined = quarantined
         journal.compact(live, quarantined)
         return journal, live
 

@@ -238,12 +238,6 @@ async def read_frame_async(
     return decode_payload(payload)
 
 
-async def write_frame_async(writer: asyncio.StreamWriter,
-                            message: Dict[str, Any]) -> None:
-    writer.write(encode_frame(message))
-    await writer.drain()
-
-
 # -- blocking flavour (client side) -----------------------------------------
 
 
@@ -399,7 +393,6 @@ __all__ = [
     "encode_frame",
     "decode_payload",
     "read_frame_async",
-    "write_frame_async",
     "read_frame",
     "write_frame",
     "parse_address",

@@ -1,15 +1,16 @@
-"""Per-connection accounting and backpressure for the sweep daemon.
+"""Per-connection accounting and backpressure for the sweep hub.
 
-Each connected client gets one :class:`Session`.  The session tracks
-what the client has submitted and what has been streamed back, and
-implements the daemon's backpressure policy: a client may have at most
-``high_watermark`` jobs outstanding (accepted but not yet streamed
-back).  Above the high watermark the daemon simply *stops reading*
-that client's socket — kernel buffers fill, the client's writes block,
-and the pressure propagates to the submitter without any protocol
-chatter — and resumes once results drain the session below the low
-watermark.  Well-behaved clients never notice; firehose clients are
-throttled instead of ballooning daemon memory.
+Each connection gets one :class:`Session`, owned by the hub core
+(:mod:`repro.service.hub`).  The session tracks what a client has
+submitted and what has been streamed back, and holds the hub's
+backpressure policy: a client may have at most ``high_watermark`` jobs
+outstanding (accepted but not yet streamed back).  Above the high
+watermark the session is ``throttled`` and the daemon's shell simply
+*stops reading* that client's socket — kernel buffers fill, the
+client's writes block, and the pressure propagates to the submitter
+without any protocol chatter — until results drain the session below
+the low watermark.  Well-behaved clients never notice; firehose
+clients are throttled instead of ballooning daemon memory.
 
 A hard per-submit cap (``max_submit``) complements the watermarks: a
 single SUBMIT frame bigger than the cap is refused outright with an
@@ -19,12 +20,8 @@ semantics.
 
 from __future__ import annotations
 
-import asyncio
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
-
-_session_ids = itertools.count(1)
+from typing import Dict, Optional
 
 
 @dataclass
@@ -44,69 +41,51 @@ class Submission:
 
 @dataclass
 class Session:
-    """One client connection's state (see module docstring)."""
+    """One connection's state (see module docstring)."""
 
-    writer: Any  # asyncio.StreamWriter
+    id: int
     peer: str
     high_watermark: int
     low_watermark: int
-    id: int = field(default_factory=lambda: next(_session_ids))
+    #: The accepted handshake frame's type: ``hello`` (a client),
+    #: ``register`` (a worker) or ``peer`` (a standby hub).
+    role: Optional[str] = None
     #: jobs accepted from this client and not yet answered.
     outstanding: int = 0
-    submitted_total: int = 0
-    streamed_total: int = 0
     #: live SUBMITs by submit_id.
     submissions: Dict[str, Submission] = field(default_factory=dict)
     closed: bool = False
-    _drained: Optional[asyncio.Event] = None
-
-    def __post_init__(self) -> None:
-        self._drained = asyncio.Event()
-        self._drained.set()
+    #: Reading is paused: the session went over the high watermark and
+    #: has not yet drained to the low one.
+    throttled: bool = False
 
     def accept(self, submit_id: str, total: int) -> Submission:
         """Account for a new SUBMIT; returns its tracking record."""
         submission = Submission(session=self, submit_id=submit_id,
                                 total=total, pending=total)
         self.submissions[submit_id] = submission
-        self.submitted_total += total
         self.outstanding += total
         if self.outstanding > self.high_watermark:
-            self._drained.clear()
+            self.throttled = True
         return submission
 
     def settle_one(self, submission: Submission, *, executed: bool,
                    cached: bool, failed: bool) -> None:
         """One result streamed back to this client."""
-        submission.pending -= 1
         submission.executed += int(executed)
         submission.cached += int(cached)
         submission.failed += int(failed)
-        self.streamed_total += 1
-        self.outstanding -= 1
-        if self.outstanding <= self.low_watermark:
-            self._drained.set()
-        if submission.pending <= 0:
-            self.submissions.pop(submission.submit_id, None)
+        self.detach(submission, 1)
 
     def detach(self, submission: Submission, count: int) -> None:
-        """Drop ``count`` of a submission's jobs without results
-        (cancellation): the client stops waiting for them."""
+        """Drop ``count`` of a submission's jobs: answered, or
+        cancelled so that the client stops waiting for them."""
         submission.pending -= count
         self.outstanding -= count
         if self.outstanding <= self.low_watermark:
-            self._drained.set()
+            self.throttled = False
         if submission.pending <= 0:
             self.submissions.pop(submission.submit_id, None)
-
-    async def throttle(self) -> None:
-        """Block the reader while this session is over the high
-        watermark (resumes below the low watermark)."""
-        await self._drained.wait()
-
-    @property
-    def throttled(self) -> bool:
-        return not self._drained.is_set()
 
 
 __all__ = ["Session", "Submission"]

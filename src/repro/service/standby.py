@@ -304,7 +304,6 @@ class StandbyHub:
             if isinstance(key, str) and isinstance(record, dict)}
         if self._journal is None:
             self._journal = ServiceJournal(journal_path(self.cache_dir))
-        self._journal.quarantined = dict(self._quarantined)
         # A (re)sync replaces whatever the mirror held: compact the
         # file down to exactly the snapshot, atomically.
         self._journal.compact(self._live, self._quarantined)

@@ -17,9 +17,9 @@ Design points:
   local execution no matter which node ran them.
 * **Crash isolation is inherited too.**  The runner's warm-worker
   pool already turns a segfaulting job into a FAIL-row outcome
-  (``WorkerCrashError`` semantics); an ordinary entry-point exception
-  aborts only the rest of its own lease, whose unsettled specs are
-  uploaded as error rows — the worker process survives both.
+  (``WorkerCrashError`` semantics) and an entry-point exception into
+  an ERROR row for that spec alone — the worker process survives
+  both.
 * **Liveness is a background heartbeat thread**, so a long-running
   lease does not look like a death.  The daemon picks the interval
   (a third of its lease timeout) and tells us at registration.
@@ -60,7 +60,6 @@ import socket
 import struct
 import sys
 import threading
-import time
 import uuid
 from typing import Any, Deque, Dict, List, Optional
 
@@ -128,7 +127,6 @@ class ReproWorker:
                  timeout: float = 30.0,
                  cache_dir: Optional[str] = None,
                  retry: Optional[RetryPolicy] = None,
-                 use_hub_cache: bool = True,
                  limits: Optional[ResourceLimits] = None,
                  heartbeat_s: Optional[float] = None,
                  quiet: bool = False) -> None:
@@ -152,7 +150,6 @@ class ReproWorker:
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy(
             max_attempts=8, base_delay_s=0.25, max_delay_s=5.0)
-        self.use_hub_cache = use_hub_cache
         self.quiet = quiet
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self._runner = JobRunner(jobs=jobs, cache=self.cache,
@@ -426,10 +423,9 @@ class ReproWorker:
                 f"lease {lease_id!r} carries a malformed spec: "
                 f"{exc}") from exc
         self.leases_run += 1
-        if self.use_hub_cache:
-            specs = self._drop_warm(lease_id, specs)
-            if not specs:
-                return
+        specs = self._drop_warm(lease_id, specs)
+        if not specs:
+            return
         self.log(f"lease {lease_id}: {len(specs)} job(s)")
         uploaded = set()
 
@@ -442,13 +438,15 @@ class ReproWorker:
         except (ProtocolError, OSError):
             raise  # the connection itself failed mid-upload
         except Exception as exc:  # noqa: BLE001
-            # Same contract as the daemon's local batches: an ordinary
-            # entry-point exception aborts the rest of *this lease*
-            # inside execute(); every unsettled spec fails visibly and
-            # the worker keeps serving.
-            self.log(f"lease {lease_id} aborted by a job exception: "
+            # Same contract as the daemon's local batches: a job's own
+            # exception is already an in-band ERROR row, so this is a
+            # failure outside any job (a cache.store OSError, say).
+            # It aborts the rest of *this lease*; every unsettled spec
+            # fails visibly and the worker keeps serving.
+            self.log(f"lease {lease_id} aborted: "
                      f"{type(exc).__name__}: {exc}")
-            self._fail_rest(lease_id, specs, uploaded, str(exc))
+            self._fail_rest(lease_id, specs, uploaded,
+                            f"{type(exc).__name__}: {exc}")
 
     def _drop_warm(self, lease_id: Any,
                    specs: List[RunSpec]) -> List[RunSpec]:

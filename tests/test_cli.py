@@ -163,6 +163,18 @@ class TestScenarioCommands:
         assert report["spec"]["experiment_id"] == "scenario:uniform"
 
 
+def _record_client_sleeps(monkeypatch):
+    """Swap the client's backoff sleep for a recorder of its delays."""
+    import types
+
+    from repro.service import client
+
+    delays = []
+    monkeypatch.setattr(client, "time", types.SimpleNamespace(
+        sleep=delays.append))
+    return delays
+
+
 class TestServiceCommands:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -193,11 +205,13 @@ class TestServiceCommands:
         assert "--server" in capsys.readouterr().err
 
     def test_run_unreachable_server_exits_cleanly(self, tmp_path,
-                                                  capsys):
+                                                  capsys, monkeypatch):
+        delays = _record_client_sleeps(monkeypatch)
         code = main(["run", "e4", "--quick", "--server",
                      str(tmp_path / "nobody.sock")])
         assert code == 2
         assert "--server" in capsys.readouterr().err
+        assert len(delays) == 5  # the default --retry-max 5
 
     def test_run_via_server_matches_direct(self, tmp_path, capsys):
         import threading
@@ -237,7 +251,9 @@ class TestServiceCommands:
         assert not thread.is_alive()
 
     def test_server_flag_notes_ignored_local_settings(self, tmp_path,
-                                                      capsys):
+                                                      capsys,
+                                                      monkeypatch):
+        delays = _record_client_sleeps(monkeypatch)
         code = main(["run", "e4", "--quick", "--jobs", "4",
                      "--cache-dir", str(tmp_path / "c"),
                      "--server", str(tmp_path / "nobody.sock")])
@@ -245,6 +261,7 @@ class TestServiceCommands:
         err = capsys.readouterr().err
         assert "--jobs" in err and "--cache-dir" in err
         assert "daemon-side" in err
+        assert len(delays) == 5  # the default --retry-max 5
 
 
 class TestWorkerCommand:

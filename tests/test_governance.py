@@ -407,6 +407,60 @@ class TestQuarantine:
             == FAIL_ERROR
 
 
+class TestRaisingJobFailsOnlyItsRow:
+    """An entry-point exception fails its own row and nothing else:
+    its healthy batch-mates run, and only the raising spec is ever
+    quarantined."""
+
+    @pytest.mark.parametrize("setup", ["local-jobs-1", "local-jobs-2",
+                                       "one-worker"])
+    def test_hub_batch_mates_run_and_stay_clear(self, setup, tmp_path,
+                                                start_daemon,
+                                                fresh_pools):
+        from repro.service import ReproWorker
+
+        if setup == "one-worker":
+            daemon = start_daemon(local_execution=False)
+            # Width 2: both specs share one lease, as they share one
+            # local batch in the other two setups.
+            worker = ReproWorker(daemon.bound_address, jobs=2,
+                                 quiet=True)
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            assert worker.wait_registered(10)
+        else:
+            worker = None
+            daemon = start_daemon(jobs=int(setup[-1]))
+        specs = [probe_spec("raise"), probe_spec("ok")]
+        try:
+            runs = [execute_via_server(daemon.bound_address, specs)
+                    for _ in range(3)]
+        finally:
+            if worker is not None:
+                worker.stop()
+                thread.join(timeout=15)
+        assert [bad.kind for bad, _ in runs] == \
+            [FAIL_ERROR, FAIL_ERROR, FAIL_QUARANTINED]
+        assert "probe raised on request" in runs[0][0].error
+        assert [ok.error for _, ok in runs] == [None, None, None]
+        assert [ok.cached for _, ok in runs] == [False, True, True]
+        with ServiceClient(daemon.bound_address) as client:
+            assert client.stats()["quarantined_keys"] == 1
+
+    def test_cli_sweep_without_hub(self, fresh_pools, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "sweep.json"
+        code = main(["sweep", "probe", "--quick",
+                     "--set", "behavior=raise,ok",
+                     "--json-out", str(out)])
+        assert code == 1
+        manifest = RunManifest.from_payload(
+            json.loads(out.read_text())["manifest"])
+        assert [e.kind for e in manifest.entries] == [FAIL_ERROR, None]
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestAdmissionControl:
     def test_busy_frame_past_watermark(self, start_daemon,
                                        failing_experiment):

@@ -173,8 +173,10 @@ class TestCache:
         bad = RunSpec("e7", quick=True,
                       overrides={"port_counts": "bogus"})
         for jobs in (1, 2):
-            with pytest.raises(Exception):
-                execute([FAST_SPEC, bad], jobs=jobs, cache=cache)
+            good, failed = execute([FAST_SPEC, bad], jobs=jobs,
+                                   cache=cache)
+            assert good.error is None
+            assert failed.kind == "ERROR" and failed.error is not None
             assert cache.load(FAST_SPEC) is not None
 
     def test_foreign_payload_reads_as_miss(self, tmp_path):

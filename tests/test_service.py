@@ -725,7 +725,7 @@ class TestWorkerFleet:
         client.start()
         assert fake_experiment.entered.wait(10)
         daemon.request_shutdown()
-        _wait_until(lambda: daemon._draining, what="the drain flag")
+        _wait_until(lambda: daemon.core.draining, what="the drain flag")
         worker = ReproWorker(daemon.bound_address, jobs=1, quiet=True,
                              timeout=10.0)
         with pytest.raises(WorkerError, match="draining"):
@@ -780,7 +780,7 @@ class TestWorkerFleet:
         assert fake_experiment.entered.wait(10), \
             "the worker never started executing"
         daemon.request_shutdown()
-        _wait_until(lambda: daemon._draining, what="the drain flag")
+        _wait_until(lambda: daemon.core.draining, what="the drain flag")
         handle.kill()  # dies holding its lease, mid-drain
         client.join(timeout=15)
         fake_experiment.gate.set()  # release the dead worker's runner
@@ -1022,12 +1022,34 @@ class TestJournal:
         spec_b = RunSpec("e4", quick=True, seed=1)
         journal.record_queued(spec_a.key(), spec_a.canonical())
         journal.record_queued(spec_b.key(), spec_b.canonical())
-        journal.record_leased(spec_a.key(), "local")
         journal.record_settled(spec_a.key(), None)
         journal.close()
         debt = replay(path)
         assert set(debt) == {spec_b.key()}
         assert debt[spec_b.key()] == spec_b.canonical()
+
+    def test_old_leased_lines_replay_to_the_same_debt(self, tmp_path):
+        # Journals from before the leased record was dropped still
+        # hold its lines; replay must read past them unchanged.
+        spec_a = RunSpec("e4", quick=True)
+        spec_b = RunSpec("e4", quick=True, seed=1)
+        debts = []
+        for old in (True, False):
+            path = journal_path(tmp_path / str(old))
+            journal = ServiceJournal(path)
+            journal.record_queued(spec_a.key(), spec_a.canonical())
+            journal.record_queued(spec_b.key(), spec_b.canonical())
+            journal.close()
+            with open(path, "a", encoding="utf-8") as f:
+                if old:
+                    for spec in (spec_a, spec_b):
+                        f.write(json.dumps({"op": "leased",
+                                            "key": spec.key(),
+                                            "executor": "local"}) + "\n")
+                f.write(json.dumps({"op": "settled", "key": spec_a.key(),
+                                    "error": None}) + "\n")
+            debts.append(replay(path))
+        assert debts[0] == debts[1] == {spec_b.key(): spec_b.canonical()}
 
     def test_drained_marker_wipes_the_slate(self, tmp_path):
         path = journal_path(tmp_path)
@@ -1121,7 +1143,6 @@ class TestJournal:
         mirror = ServiceJournal(mirror_path)
         primary.on_append = mirror.mirror
         primary.record_queued(spec.key(), spec.canonical())
-        primary.record_leased(spec.key(), "local")
         primary.record_quarantined(spec.key(), "OOM", "boom")
         primary.record_drained()
         primary.close()
@@ -1438,7 +1459,7 @@ class TestWorkerSigterm:
             client.start()
             _wait_until(
                 lambda: any(w.leased
-                            for w in daemon._workers.values()),
+                            for w in daemon.core.workers.values()),
                 what="the lease to land on the subprocess worker")
             started = time.monotonic()
             proc.send_signal(signal.SIGTERM)
