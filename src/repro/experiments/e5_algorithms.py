@@ -22,48 +22,38 @@ from typing import Dict, List, Tuple
 
 import random
 
+import numpy as np
+
 from repro.analysis.charts import line_chart
 from repro.analysis.tables import render_table
 from repro.experiments.base import ExperimentConfig, ExperimentReport
-from repro.fabric.cellsim import CellFabricSim
+from repro.fabric.replicas import run_replicas
 from repro.fabric.workloads import diagonal_rates, uniform_rates
 from repro.schedulers.fixed import RoundRobinTdma
 from repro.schedulers.islip import IslipScheduler
 from repro.schedulers.mwm import MwmScheduler
 from repro.schedulers.pim import PimScheduler
 from repro.schedulers.wfa import WfaScheduler
+from repro.sim.errors import ConfigurationError
 
 N_PORTS = 16
 
 #: Overrides this experiment honours (``repro run e5 --set ...``).
 KNOWN_OVERRIDES = frozenset({"loads", "slots", "warmup", "n_ports"})
 
+#: (name, constructor(n_ports, pim_seed)) per algorithm, in table order.
+SCHEDULERS = (
+    ("tdma", lambda n, pim_seed: RoundRobinTdma(n)),
+    ("pim-1", lambda n, pim_seed: PimScheduler(
+        n, iterations=1, rng=random.Random(pim_seed))),
+    ("islip-1", lambda n, pim_seed: IslipScheduler(n, iterations=1)),
+    ("islip-4", lambda n, pim_seed: IslipScheduler(n, iterations=4)),
+    ("wfa", lambda n, pim_seed: WfaScheduler(n)),
+    ("mwm", lambda n, pim_seed: MwmScheduler(n)),
+)
 
-def _make_schedulers(n_ports: int,
-                     pim_seed: int) -> List[Tuple[str, object]]:
-    return [
-        ("tdma", RoundRobinTdma(n_ports)),
-        ("pim-1", PimScheduler(n_ports, iterations=1,
-                               rng=random.Random(pim_seed))),
-        ("islip-1", IslipScheduler(n_ports, iterations=1)),
-        ("islip-4", IslipScheduler(n_ports, iterations=4)),
-        ("wfa", WfaScheduler(n_ports)),
-        ("mwm", MwmScheduler(n_ports)),
-    ]
-
-
-def _curve(workload, loads, slots, warmup, seed: int, n_ports: int,
-           pim_seed: int) -> Dict[str, List[Tuple[float, float, float]]]:
-    """name -> [(load, throughput, mean delay)] per algorithm."""
-    curves: Dict[str, List[Tuple[float, float, float]]] = {}
-    for load in loads:
-        rates = workload(n_ports, load)
-        for name, scheduler in _make_schedulers(n_ports, pim_seed):
-            sim = CellFabricSim(scheduler, rates, seed=seed)
-            stats = sim.run(slots=slots, warmup=warmup)
-            curves.setdefault(name, []).append(
-                (load, stats.throughput, stats.mean_delay_slots))
-    return curves
+#: The two traffic patterns, in report order.
+WORKLOADS = (("uniform", uniform_rates), ("diagonal", diagonal_rates))
 
 
 def _table_for(curves, loads, metric_index: int, metric: str,
@@ -90,58 +80,26 @@ def _sizes(config: ExperimentConfig):
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
-    """Throughput & delay vs load, uniform and diagonal workloads."""
-    loads, slots, warmup, n_ports = _sizes(config)
-    seed = config.derive_seed(2)
-    pim_seed = config.derive_seed(5)
-    uniform_curves = _curve(uniform_rates, loads, slots, warmup,
-                            seed=seed, n_ports=n_ports, pim_seed=pim_seed)
-    diagonal_curves = _curve(diagonal_rates, loads, slots, warmup,
-                             seed=seed, n_ports=n_ports, pim_seed=pim_seed)
-    return _build_report(config, loads, n_ports, uniform_curves,
-                         diagonal_curves)
+    """Throughput & delay vs load, uniform and diagonal workloads.
 
-
-def _curves_batch(workload, loads, slots, warmup, seeds, n_ports,
-                  pim_seeds):
-    """Per-replica curves, all replicas simulated in one batched pass.
-
-    Returns one ``{name: [(load, throughput, delay)]}`` dict per
-    replica, bit-identical to calling :func:`_curve` with that
-    replica's seeds (the replica-batched kernel guarantees it).
+    The one-config case of :func:`run_batch`: a solo run is one
+    stacked fabric pass too, of 36 replicas in the quick sweep.
     """
-    from repro.fabric.replicas import run_replicas
-
-    replicas = len(seeds)
-    curves: List[Dict[str, List[Tuple[float, float, float]]]] = [
-        {} for __ in range(replicas)]
-    for load in loads:
-        rates = workload(n_ports, load)
-        # Fresh schedulers per (load, replica), exactly as the solo
-        # path builds them per load.
-        per_replica = [_make_schedulers(n_ports, pim_seeds[r])
-                       for r in range(replicas)]
-        for position, (name, __) in enumerate(per_replica[0]):
-            instances = iter(
-                [per_replica[r][position][1] for r in range(replicas)])
-            stats_list = run_replicas(lambda: next(instances), rates,
-                                      seeds, slots, warmup=warmup)
-            for replica, stats in enumerate(stats_list):
-                curves[replica].setdefault(name, []).append(
-                    (load, stats.throughput, stats.mean_delay_slots))
-    return curves
+    return run_batch([config])[0]
 
 
 def run_batch(configs) -> List[ExperimentReport]:
     """Replica-batched entry: one report per config, byte-identical.
 
     The configs must agree on everything but ``seed`` (the runner's
-    replica-batch grouping guarantees this); the whole replica axis is
-    then simulated through :func:`repro.fabric.replicas.run_replicas`
-    in stacked numpy state instead of one fabric run per replica.
+    replica-batch grouping guarantees this).  Every (scheduler,
+    workload, load, config) point is one replica of a single
+    :func:`repro.fabric.replicas.run_replicas` pass — ``36 × len(configs)``
+    replicas in the quick sweep — with a fresh scheduler per point and
+    the config's arrival seed, so each point's stats equal a solo
+    fabric run of it.  Points are stacked scheduler by scheduler, so
+    each batched driver reads a contiguous slice of the stack.
     """
-    from repro.sim.errors import ConfigurationError
-
     configs = list(configs)
     if not configs:
         return []
@@ -156,14 +114,29 @@ def run_batch(configs) -> List[ExperimentReport]:
     loads, slots, warmup, n_ports = _sizes(head)
     seeds = [config.derive_seed(2) for config in configs]
     pim_seeds = [config.derive_seed(5) for config in configs]
-    uniform = _curves_batch(uniform_rates, loads, slots, warmup, seeds,
-                            n_ports, pim_seeds)
-    diagonal = _curves_batch(diagonal_rates, loads, slots, warmup,
-                             seeds, n_ports, pim_seeds)
+    points: List[Tuple[int, str, str, float]] = []
+    schedulers, rates, point_seeds = [], [], []
+    for name, make in SCHEDULERS:
+        for workload, make_rates in WORKLOADS:
+            for load in loads:
+                point_rates = make_rates(n_ports, load)
+                for replica in range(len(configs)):
+                    points.append((replica, name, workload, load))
+                    schedulers.append(make(n_ports, pim_seeds[replica]))
+                    rates.append(point_rates)
+                    point_seeds.append(seeds[replica])
+    instances = iter(schedulers)
+    stats = run_replicas(lambda: next(instances), np.stack(rates),
+                         point_seeds, slots, warmup=warmup)
+    curves: List[Dict[str, Dict[str, List[Tuple[float, float, float]]]]] = [
+        {workload: {} for workload, __ in WORKLOADS} for __ in configs]
+    for (replica, name, workload, load), point in zip(points, stats):
+        curves[replica][workload].setdefault(name, []).append(
+            (load, point.throughput, point.mean_delay_slots))
     return [
-        _build_report(config, loads, n_ports, uniform[replica],
-                      diagonal[replica])
-        for replica, config in enumerate(configs)
+        _build_report(config, loads, n_ports, curve["uniform"],
+                      curve["diagonal"])
+        for config, curve in zip(configs, curves)
     ]
 
 

@@ -1,27 +1,41 @@
-"""Replica-batched cell-fabric kernel: R seeds in one set of numpy ops.
+"""Replica-batched cell-fabric kernel: R replicas in one set of numpy ops.
 
-A sweep point is *many replicas* of the same fabric configuration —
-same scheduler, same rate matrix, different arrival seeds.  Running
+A sweep point is *many replicas* of a fabric configuration.  Running
 them one at a time through :class:`~repro.fabric.cellsim.CellFabricSim`
 pays the per-slot numpy-call overhead ``R`` times; this module stacks
-all replicas into ``(R, n, n)`` state (VOQ counts, ring-buffer FIFOs)
-and advances every replica with **one** set of array ops per slot —
-plus, for iSLIP, one cross-replica batched scheduling pass (see
-:mod:`repro.schedulers.batch`).
+all replicas into ``(R, n, n)`` VOQ counts and advances every replica
+with **one** set of array ops per slot — plus one scheduling pass per
+driver group (see :mod:`repro.schedulers.batch`: iSLIP, WFA and TDMA
+replicas are batched across the stack, anything else runs its own
+``compute_trusted``).  Replicas need not share anything but the port
+count: each has its own scheduler, its own seed and, given an
+``(R, n, n)`` rates stack, its own rate matrix — E5 runs its whole
+(scheduler, workload, load, seed) grid as one stack.
+
+Delay bookkeeping is a *ledger*, not a queue of arrival slots.  Each
+VOQ is FIFO and takes at most one arrival per slot, so the cells it
+serves in the measuring window are its arrivals number ``d0 + 1``
+through ``d1``, where ``d0`` and ``d1`` are its departure counts when
+the window opens and when it closes.  The kernel keeps one departure
+count per VOQ; after the run, a second pass redraws each replica's
+arrivals from its seed and sums the slots of exactly those arrivals.
+The total delay is the served cells' departure slots minus that sum,
+so memory does not grow with the run length or the queue lengths.
 
 Bit-identity is the contract, exactly as for the solo vector engine:
 
 * replica ``r`` draws its arrivals from its **own** generator seeded
   ``seeds[r]``, in whole-chunk blocks — numpy fills any chunk shape
-  from the same bit stream, so the draw sequence matches a solo run of
-  the same seed even though the batch kernel chunks differently;
+  from the same bit stream, so both passes see the draw sequence of a
+  solo run of the same seed even though they chunk differently;
 * per-replica scheduler state evolves exactly as solo (the batched
-  iSLIP driver is fuzz-proven identical; everything else goes through
-  its own ``compute_trusted``);
-* service and delay bookkeeping are elementwise per (replica, pair).
+  drivers are fuzz-proven identical; everything else goes through its
+  own ``compute_trusted``);
+* service and delay bookkeeping are elementwise per (replica, pair),
+  in exact integer arithmetic.
 
 ``run_replicas`` therefore returns the *same* ``FabricStats`` list as
-``run_replicas_sequential`` on the same inputs — the golden tests in
+one solo run per replica — the golden tests in
 ``tests/test_fabric_replicas.py`` hold it to that, field for field,
 against both the solo vector engine and the scalar reference engine.
 """
@@ -35,7 +49,6 @@ import numpy as np
 from repro.fabric.cellsim import (
     _CHUNK_BYTES,
     _CHUNK_SLOTS,
-    _RING_START,
     CellFabricSim,
     FabricStats,
 )
@@ -78,10 +91,12 @@ def run_replicas(
 
     Parameters mirror :class:`CellFabricSim` plus the replica axis:
     ``scheduler_factory`` is called once per replica (schedulers are
-    stateful — each replica owns an instance), ``seeds[r]`` seeds
-    replica ``r``'s arrival stream.  Returns one
-    :class:`~repro.fabric.cellsim.FabricStats` per seed, in seed
-    order, bit-identical to :func:`run_replicas_sequential`.
+    stateful — each replica owns an instance, and the instances may
+    differ in type), ``seeds[r]`` seeds replica ``r``'s arrival
+    stream, and ``rates`` is either one ``(n, n)`` matrix shared by
+    every replica or an ``(R, n, n)`` stack, one matrix per replica.
+    Returns one :class:`~repro.fabric.cellsim.FabricStats` per seed,
+    in seed order, bit-identical to a solo run of each replica.
     """
     if not seeds:
         return []
@@ -89,71 +104,49 @@ def run_replicas(
         raise ConfigurationError("slots >= 1, warmup >= 0 required")
     schedulers = [scheduler_factory() for __ in seeds]
     n = schedulers[0].n_ports
+    replicas = len(schedulers)
     rates = np.asarray(rates, dtype=np.float64)
-    if rates.shape != (n, n):
+    if rates.shape not in ((n, n), (replicas, n, n)):
         raise ConfigurationError(
-            f"rates shape {rates.shape} != scheduler ports ({n},{n})")
+            f"rates shape {rates.shape} is neither ({n},{n}) nor one "
+            f"({n},{n}) matrix per seed ({replicas},{n},{n})")
     if (rates < 0).any() or (rates > 1).any():
         raise ConfigurationError("rates must be probabilities in [0,1]")
-    if np.diagonal(rates).any():
+    if np.diagonal(rates, axis1=-2, axis2=-1).any():
         raise ConfigurationError("rates must have a zero diagonal")
+    rates = np.broadcast_to(rates, (replicas, n, n))
     total = warmup + slots
     if total >= np.iinfo(np.int32).max:
         raise ConfigurationError(
             "replica-batched state is int32; warmup + slots must stay "
             f"below {np.iinfo(np.int32).max}")
     matcher = make_replica_matcher(schedulers)
-    replicas = len(schedulers)
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    # Stacked per-VOQ state, int32 (cell counts and slot numbers both
-    # fit comfortably): half the memory traffic of the solo engine's
-    # int64 state, which matters once R replicas share the bandwidth.
-    # All hot fancy indexing goes through flattened views with one
-    # precomputed flat index per touched VOQ — 1-D gathers/scatters
-    # beat the equivalent (rep, src, dst) triple indexing.
+    # Stacked VOQ counts, int32: half the memory traffic of the solo
+    # engine's int64 state, which matters once R replicas share the
+    # bandwidth.  Hot fancy indexing goes through the flat view with
+    # one flat index per touched VOQ — 1-D gathers and scatters beat
+    # the equivalent (rep, src, dst) triple indexing.
     counts = np.zeros((replicas, n, n), dtype=np.int32)
     counts_flat = counts.reshape(-1)
-    ring_flat = np.zeros(replicas * n * n * _RING_START, dtype=np.int32)
-    head_flat = np.zeros(replicas * n * n, dtype=np.int32)
-    size_flat = np.zeros(replicas * n * n, dtype=np.int32)
-    capacity = _RING_START
-    ring_mask = capacity - 1
-
-    def grow_ring(needed: int) -> None:
-        nonlocal ring_flat, capacity, ring_mask
-        new_capacity = capacity
-        while new_capacity < needed:
-            new_capacity *= 2
-        ring = ring_flat.reshape(replicas * n * n, capacity)
-        gather = (head_flat[:, None]
-                  + np.arange(capacity, dtype=np.int32)[None, :]) % capacity
-        unrolled = np.take_along_axis(ring, gather, axis=1)
-        grown = np.zeros((replicas * n * n, new_capacity), dtype=np.int32)
-        grown[:, :capacity] = unrolled
-        ring_flat = grown.reshape(-1)
-        head_flat[:] = 0
-        capacity = new_capacity
-        ring_mask = capacity - 1
+    # The delay ledger's per-VOQ state: departures so far, and a copy
+    # of them taken when the measuring window opens.
+    served = np.zeros(replicas * n * n, dtype=np.int64)
+    served_before = served
+    # Flat VOQ index of (replica, input, output 0); adding an output
+    # vector stack gives every matched VOQ's flat index.
+    row_at = ((np.arange(replicas)[:, None] * n + np.arange(n)) * n)
+    cells = n * n
 
     chunk = max(1, min(total, _CHUNK_BYTES // (8 * n * n * replicas),
                        _CHUNK_SLOTS))
     arrivals = np.zeros(replicas, dtype=np.int64)
     departures = np.zeros(replicas, dtype=np.int64)
-    delay_total = np.zeros(replicas, dtype=np.int64)
+    served_slot_sum = np.zeros(replicas, dtype=np.int64)
     backlog = np.zeros(replicas, dtype=np.int64)
     peak_backlog = np.zeros(replicas, dtype=np.int64)
-    # When the matcher consumes packed occupancy words, maintain them
-    # incrementally (set a bit per arrival, clear it when a VOQ drains)
-    # instead of re-deriving all R·n² occupancy bits every slot.
-    packed = matcher.packed_occupancy
-    if packed:
-        words = np.zeros((replicas, n), dtype=np.uint64)
-        words_flat = words.reshape(-1)
-        one = np.uint64(1)
-        compute = matcher.compute_from_words  # type: ignore[attr-defined]
-    else:
-        compute = matcher.compute
+    compute = matcher.compute
     nonzero = np.nonzero
     bincount = np.bincount
     draw = np.empty((chunk, replicas, n, n), dtype=bool)
@@ -164,90 +157,101 @@ def run_replicas(
         # own stream — bit-identical to that replica's solo run (numpy
         # fills any chunk shape from the same bit stream).
         for replica, rng in enumerate(rngs):
-            np.less(rng.random((span, n, n)), rates,
+            np.less(rng.random((span, n, n)), rates[replica],
                     out=draw[:span, replica])
-        slot_idx, rep_idx, src_idx, dst_idx = nonzero(draw[:span])
-        # Flat VOQ index of every arrival in the chunk, computed once.
-        pair_idx = (rep_idx * n + src_idx) * n + dst_idx
+        block = draw[:span]
+        arrived_per_slot = block.sum(axis=(2, 3))
+        first_measured = max(0, warmup - slot)
+        if first_measured < span:
+            arrivals += arrived_per_slot[first_measured:].sum(axis=0)
+        # Flat VOQ index of every arrival in the chunk, in slot order.
+        slot_idx, pair_idx = nonzero(block.reshape(span, -1))
         bounds = np.searchsorted(slot_idx, np.arange(span + 1)).tolist()
         for k in range(span):
-            measuring = slot >= warmup
+            if slot == warmup:
+                served_before = served.copy()
             lo = bounds[k]
             hi = bounds[k + 1]
             if hi > lo:
-                pair = pair_idx[lo:hi]
-                queued = size_flat[pair]
-                if int(queued.max()) >= capacity:
-                    grow_ring(capacity + 1)
-                    queued = size_flat[pair]
                 # At most one arrival per (replica, pair) per slot, so
                 # plain fancy-indexed increments cannot collide.
-                counts_flat[pair] += 1
-                ring_flat[pair * capacity
-                          + ((head_flat[pair] + queued) & ring_mask)] = slot
-                size_flat[pair] += 1
-                if packed:
-                    np.bitwise_or.at(
-                        words_flat,
-                        rep_idx[lo:hi] * n + dst_idx[lo:hi],
-                        one << src_idx[lo:hi].astype(np.uint64))
-                arrived_per_rep = bincount(rep_idx[lo:hi],
-                                           minlength=replicas)
-                backlog += arrived_per_rep
-                if measuring:
-                    arrivals += arrived_per_rep
-            # One scheduling decision per replica (batched where the
-            # scheduler type supports it).
-            out_of = compute(words if packed else counts)
-            m_rep, m_in = nonzero(out_of >= 0)
-            if m_rep.size:
-                m_out = out_of[m_rep, m_in]
-                m_pair = (m_rep * n + m_in) * n + m_out
-                backlogged = counts_flat[m_pair] >= 1
-                s_pair = m_pair[backlogged]
-                if s_pair.size:
-                    s_rep = m_rep[backlogged]
-                    counts_flat[s_pair] -= 1
-                    at = head_flat[s_pair]
-                    arrived = ring_flat[s_pair * capacity + at]
-                    head_flat[s_pair] = (at + 1) & ring_mask
-                    size_flat[s_pair] -= 1
-                    if packed:
-                        drained = counts_flat[s_pair] == 0
-                        if drained.any():
-                            s_in = m_in[backlogged][drained]
-                            s_out = m_out[backlogged][drained]
-                            np.bitwise_and.at(
-                                words_flat,
-                                s_rep[drained] * n + s_out,
-                                ~(one << s_in.astype(np.uint64)))
-                    served_per_rep = bincount(s_rep, minlength=replicas)
-                    backlog -= served_per_rep
-                    if measuring:
-                        departures += served_per_rep
-                        arrived_sum = np.zeros(replicas, dtype=np.int64)
-                        np.add.at(arrived_sum, s_rep, arrived)
-                        delay_total += served_per_rep * slot - arrived_sum
-            if measuring:
+                counts_flat[pair_idx[lo:hi]] += 1
+                backlog += arrived_per_slot[k]
+            # One scheduling decision per replica, batched per driver.
+            out_of = compute(counts)
+            matched = (row_at + out_of)[out_of >= 0]
+            served_pairs = matched[counts_flat[matched] > 0]
+            if served_pairs.size:
+                counts_flat[served_pairs] -= 1
+                served[served_pairs] += 1
+                served_per_rep = bincount(served_pairs // cells,
+                                          minlength=replicas)
+                backlog -= served_per_rep
+                if slot >= warmup:
+                    departures += served_per_rep
+                    served_slot_sum += served_per_rep * slot
+            if slot >= warmup:
                 np.maximum(peak_backlog, backlog, out=peak_backlog)
             slot += 1
     matcher.sync()
+    served_before = served_before.reshape(replicas, cells)
+    served = served.reshape(replicas, cells)
     final_backlog = counts.sum(axis=(1, 2))
-    return [
-        FabricStats(
+    stats = []
+    for r in range(replicas):
+        delay_total = int(served_slot_sum[r]) - _arrival_slot_sum(
+            rates[r], seeds[r], total, served_before[r], served[r])
+        stats.append(FabricStats(
             slots=slots,
             n_ports=n,
             arrivals=int(arrivals[r]),
             departures=int(departures[r]),
-            mean_delay_slots=(int(delay_total[r]) / int(departures[r])
+            mean_delay_slots=(delay_total / int(departures[r])
                               if departures[r] else 0.0),
             throughput=int(departures[r]) / (slots * n),
             offered=int(arrivals[r]) / (slots * n),
             backlog_cells=int(final_backlog[r]),
             peak_backlog_cells=int(peak_backlog[r]),
-        )
-        for r in range(replicas)
-    ]
+        ))
+    return stats
+
+
+def _arrival_slot_sum(rates: np.ndarray, seed: int, total: int,
+                      before: np.ndarray, after: np.ndarray) -> int:
+    """Σ arrival slot over each VOQ's arrivals ``before + 1 .. after``.
+
+    Redraws the replica's arrival stream from ``seed`` in chunks (the
+    same bits as the first pass) and, per chunk, takes the arrivals
+    grouped by VOQ in slot order: arrival number ``k`` of VOQ ``v``
+    sits at offset ``k - seen[v] - 1`` of ``v``'s run, so the wanted
+    ones are one contiguous run per VOQ, summed from a prefix sum.
+    ``before`` and ``after`` are flat per-VOQ departure counts.
+    """
+    if not (after > before).any():
+        return 0
+    n = rates.shape[0]
+    cells = n * n
+    chunk = max(1, min(total, _CHUNK_BYTES // (8 * cells), _CHUNK_SLOTS))
+    rng = np.random.default_rng(seed)
+    seen = np.zeros(cells, dtype=np.int64)
+    slot_sum = 0
+    for start in range(0, total, chunk):
+        span = min(chunk, total - start)
+        draw = rng.random((span, n, n)) < rates
+        # VOQ-major flat indices: arrivals grouped by VOQ, slot order
+        # within each group.
+        pair, when = np.divmod(
+            np.flatnonzero(np.ascontiguousarray(draw.reshape(span, cells).T)),
+            span)
+        per_pair = np.bincount(pair, minlength=cells)
+        first = np.cumsum(per_pair) - per_pair
+        lo = np.clip(before - seen, 0, per_pair)
+        hi = np.clip(after - seen, lo, per_pair)
+        prefix = np.concatenate(([0], np.cumsum(when)))
+        slot_sum += int((prefix[first + hi] - prefix[first + lo]).sum()
+                        + start * (hi - lo).sum())
+        seen += per_pair
+    return slot_sum
 
 
 __all__ = ["run_replicas", "run_replicas_sequential", "SchedulerFactory"]

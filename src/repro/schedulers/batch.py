@@ -8,7 +8,7 @@ replica*.  A :class:`ReplicaMatcher` produces exactly that: an
 per replica, bit-identical to calling each replica's own scheduler
 alone.
 
-Two drivers:
+Drivers:
 
 * :class:`SequentialReplicaMatcher` — the universal fallback: loops the
   replicas calling each scheduler's validation-free
@@ -19,26 +19,39 @@ Two drivers:
   on uint64-packed request words (``n <= 64`` ports): the round-robin
   pick becomes rotate + lowest-set-bit on ``(R, n)`` words, replacing
   ``R`` separate compute calls *and* the per-replica O(n²) rank
-  matrices.  Replicas are independent, so the lift is pure data
-  parallelism; the matchings and the pointer evolution are
-  **identical** to the per-replica vector code (fuzz-held by
-  ``tests/test_fabric_replicas.py``).
+  matrices.
+* :class:`BatchedWfaMatcher` — the wrapped wavefront arbiter with one
+  set of ``(R, n)`` ops per wavefront and a per-replica priority
+  diagonal.
+* :class:`BatchedTdmaMatcher` — round-robin TDMA (single-shift mode):
+  one cyclic shift per replica.
+* :class:`GroupedReplicaMatcher` — a mixed replica set, partitioned by
+  driver: each group runs on its own driver over its rows of the
+  stack.
 
-:func:`make_replica_matcher` picks the widest applicable driver.  The
-batched driver requires *exactly* :class:`IslipScheduler` instances
-(subclasses — notably the scalar reference implementation — must keep
-their own compute path) with equal port counts, equal iteration
-budgets, and at most 64 ports (one word per request row).
+Replicas are independent, so every batched driver is pure data
+parallelism; the matchings and the scheduler-state evolution
+(pointers, priority, shift) are **identical** to the per-replica code
+(fuzz-held by ``tests/test_fabric_replicas.py``).
+
+:func:`make_replica_matcher` picks the widest applicable driver per
+replica.  The batched drivers require *exact* scheduler types
+(subclasses — notably the scalar reference implementations — keep
+their own compute path): iSLIP with at most 64 ports (one word per
+request row) and one iteration budget per group, WFA, and TDMA with
+``frame_mode=False``.  Everything else runs sequentially.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.schedulers.base import Scheduler
+from repro.schedulers.fixed import RoundRobinTdma
 from repro.schedulers.islip import IslipScheduler
+from repro.schedulers.wfa import WfaScheduler
 from repro.sim.errors import SchedulingError
 
 
@@ -52,12 +65,6 @@ class ReplicaMatcher:
     stacked scheduler state back to the wrapped instances so they can
     be inspected — or reused solo — after a batched run.
     """
-
-    #: True when the driver can consume uint64-packed occupancy words
-    #: via :meth:`compute_from_words` (bit ``i`` of word ``[r, o]`` is
-    #: VOQ (i, o) occupancy) — lets the fabric kernel maintain the
-    #: words incrementally instead of re-deriving them per slot.
-    packed_occupancy = False
 
     def __init__(self, schedulers: Sequence[Scheduler]) -> None:
         if not schedulers:
@@ -176,12 +183,8 @@ class BatchedIslipMatcher(ReplicaMatcher):
         left = words << (np.uint64(n) - ptr)
         return (right | left) & np.uint64((1 << n) - 1)
 
-    packed_occupancy = True
-
     def compute(self, counts: np.ndarray) -> np.ndarray:
-        return self.compute_from_words(self._request_words(counts))
-
-    def compute_from_words(self, pos_words: np.ndarray) -> np.ndarray:
+        pos_words = self._request_words(counts)
         n = self.n_ports
         replicas = self.n_replicas
         out_of = np.full((replicas, n), -1, dtype=np.int64)
@@ -245,26 +248,164 @@ class BatchedIslipMatcher(ReplicaMatcher):
         return out_of
 
 
+class BatchedWfaMatcher(ReplicaMatcher):
+    """All replicas' wrapped wavefronts, one ``(R, n)`` op set per wave.
+
+    Wavefront ``w`` of a replica whose priority diagonal is ``p``
+    visits cell ``(i, (p + w - i) mod n)`` in every row ``i`` — one
+    cell per row and per column, exactly the solo kernel's order — so
+    each slot's requests become one ``(R, wave, row)`` gather, and the
+    ``n`` wavefronts then claim rows and columns for every replica at
+    once.
+    Priorities live in an ``(R,)`` array during a batched run;
+    :meth:`sync` writes them back to the wrapped instances.
+    """
+
+    def __init__(self, schedulers: Sequence[WfaScheduler]) -> None:
+        super().__init__(schedulers)
+        if any(type(s) is not WfaScheduler for s in schedulers):
+            raise SchedulingError(
+                "batched WFA drives exactly WfaScheduler instances")
+        n = self.n_ports
+        replicas = np.arange(self.n_replicas)
+        ports = np.arange(n)
+        self._priority = np.array([s._priority for s in schedulers],
+                                  dtype=np.int64)
+        #: ``w - i`` for wavefront ``w`` and row ``i``.
+        self._wave_minus_row = ports[:, None] - ports[None, :]
+        # Flat offsets of cell (r, i, 0) in the count stack and of
+        # column (r, 0) in the column-claim vector.
+        self._cell_at = ((replicas[:, None, None] * n + ports) * n)
+        self._col_at = replicas[:, None, None] * n
+
+    def sync(self) -> None:
+        for scheduler, priority in zip(self.schedulers,
+                                       self._priority.tolist()):
+            scheduler._priority = priority
+
+    def compute(self, counts: np.ndarray) -> np.ndarray:
+        n = self.n_ports
+        replicas = self.n_replicas
+        cols = (self._priority[:, None, None] + self._wave_minus_row) % n
+        requests = counts.reshape(-1)[self._cell_at + cols] > 0
+        col_at = self._col_at + cols
+        out_of = np.full((replicas, n), -1, dtype=np.int64)
+        row_free = np.ones((replicas, n), dtype=bool)
+        col_free = np.ones(replicas * n, dtype=bool)
+        for wave in range(n):
+            wave_cols = col_at[:, wave]
+            take = requests[:, wave] & row_free & col_free[wave_cols]
+            if take.any():
+                out_of[take] = cols[:, wave][take]
+                row_free[take] = False
+                col_free[wave_cols[take]] = False
+        self._priority += 1
+        self._priority %= n
+        return out_of
+
+
+class BatchedTdmaMatcher(ReplicaMatcher):
+    """Round-robin TDMA for every replica: one cyclic shift each.
+
+    Replica ``r`` sends input ``i`` to output ``(i + s_r) mod n`` and
+    then advances ``s_r`` through 1..n-1, exactly as each solo
+    instance's ``_next_shift`` does; demand is ignored, as TDMA
+    ignores it.  :meth:`sync` writes the shifts back.
+    """
+
+    def __init__(self, schedulers: Sequence[RoundRobinTdma]) -> None:
+        super().__init__(schedulers)
+        if any(type(s) is not RoundRobinTdma or s.frame_mode
+               for s in schedulers):
+            raise SchedulingError(
+                "batched TDMA drives exactly RoundRobinTdma instances "
+                "with frame_mode=False")
+        self._shift = np.array([s._next_shift for s in schedulers],
+                               dtype=np.int64)
+        self._ports = np.arange(self.n_ports)
+
+    def sync(self) -> None:
+        for scheduler, shift in zip(self.schedulers, self._shift.tolist()):
+            scheduler._next_shift = shift
+
+    def compute(self, counts: np.ndarray) -> np.ndarray:
+        shift = self._shift
+        out_of = (self._ports + shift[:, None]) % self.n_ports
+        shift += 1
+        shift[shift >= self.n_ports] = 1
+        return out_of
+
+
+class GroupedReplicaMatcher(ReplicaMatcher):
+    """A mixed replica set: each group of replicas on its own driver.
+
+    A group reads its rows of the count stack and writes its rows of
+    the output stack — through a slice (a view) when its replicas are
+    contiguous, an index array otherwise.
+    """
+
+    def __init__(self, schedulers: Sequence[Scheduler],
+                 groups: Sequence[Tuple[List[int], type]]) -> None:
+        super().__init__(schedulers)
+        self.groups: List[Tuple[object, ReplicaMatcher]] = []
+        for rows, driver in groups:
+            contiguous = rows[-1] - rows[0] + 1 == len(rows)
+            select = (slice(rows[0], rows[-1] + 1) if contiguous
+                      else np.array(rows))
+            self.groups.append(
+                (select, driver([self.schedulers[r] for r in rows])))
+
+    def compute(self, counts: np.ndarray) -> np.ndarray:
+        out_of = np.empty((self.n_replicas, self.n_ports), dtype=np.int64)
+        for select, matcher in self.groups:
+            out_of[select] = matcher.compute(counts[select])
+        return out_of
+
+    def sync(self) -> None:
+        for __, matcher in self.groups:
+            matcher.sync()
+
+
+def _driver_key(scheduler: Scheduler) -> Tuple:
+    """Which driver runs this scheduler: the class, then what must match."""
+    kind = type(scheduler)
+    if kind is IslipScheduler and scheduler.n_ports <= 64:
+        return (BatchedIslipMatcher, scheduler.iterations)
+    if kind is WfaScheduler:
+        return (BatchedWfaMatcher,)
+    if kind is RoundRobinTdma and not scheduler.frame_mode:
+        return (BatchedTdmaMatcher,)
+    return (SequentialReplicaMatcher,)
+
+
 def make_replica_matcher(
         schedulers: Sequence[Scheduler]) -> ReplicaMatcher:
     """The widest applicable driver for this replica set.
 
-    Exactly-``IslipScheduler`` sets with one shared iteration budget
-    get the cross-replica batched driver; anything else (mixed types,
-    subclasses, randomised or hybrid schedulers) falls back to the
-    sequential driver, which is bit-identical by construction.
+    Replicas are partitioned by driver: exact ``IslipScheduler``
+    instances (one group per iteration budget, at most 64 ports),
+    exact ``WfaScheduler`` instances, exact single-shift
+    ``RoundRobinTdma`` instances, and everything else (subclasses,
+    randomised or hybrid schedulers) on the sequential driver, which
+    is bit-identical by construction.  One group gets its own driver;
+    several get a :class:`GroupedReplicaMatcher`.
     """
-    if (schedulers
-            and all(type(s) is IslipScheduler for s in schedulers)
-            and schedulers[0].n_ports <= 64
-            and len({s.iterations for s in schedulers}) == 1):
-        return BatchedIslipMatcher(schedulers)  # type: ignore[arg-type]
-    return SequentialReplicaMatcher(schedulers)
+    groups: Dict[Tuple, List[int]] = {}
+    for replica, scheduler in enumerate(schedulers):
+        groups.setdefault(_driver_key(scheduler), []).append(replica)
+    if len(groups) > 1:
+        return GroupedReplicaMatcher(
+            schedulers, [(rows, key[0]) for key, rows in groups.items()])
+    driver = next(iter(groups), (SequentialReplicaMatcher,))[0]
+    return driver(schedulers)
 
 
 __all__: List[str] = [
     "ReplicaMatcher",
     "SequentialReplicaMatcher",
     "BatchedIslipMatcher",
+    "BatchedWfaMatcher",
+    "BatchedTdmaMatcher",
+    "GroupedReplicaMatcher",
     "make_replica_matcher",
 ]

@@ -119,19 +119,25 @@ class ServiceClient:
     # -- connection ----------------------------------------------------------
 
     def connect(self) -> "ServiceClient":
-        """Dial and handshake; raises :class:`ServiceError` on refusal."""
+        """Dial and handshake; raises :class:`ServiceError` on refusal.
+
+        A handshake that fails in any way closes the socket: the
+        caller never got a connected client to close.
+        """
         self._sock = connect(self.address, timeout=self.timeout)
-        write_frame(self._sock, hello_frame())
-        reply = self._read()
-        if reply.get("type") == "error":
+        try:
+            write_frame(self._sock, hello_frame())
+            reply = self._read()
+            if reply.get("type") == "error":
+                raise ServiceError(
+                    f"server rejected handshake "
+                    f"[{reply.get('code')}]: {reply.get('message')}")
+            if reply.get("type") != "welcome":
+                raise ServiceError(
+                    f"expected welcome, got {reply.get('type')!r}")
+        except BaseException:
             self.close()
-            raise ServiceError(
-                f"server rejected handshake "
-                f"[{reply.get('code')}]: {reply.get('message')}")
-        if reply.get("type") != "welcome":
-            self.close()
-            raise ServiceError(
-                f"expected welcome, got {reply.get('type')!r}")
+            raise
         self.server_info = reply
         return self
 

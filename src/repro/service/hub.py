@@ -699,14 +699,15 @@ class HubCore:
             # Poison spec: report the recorded verdict immediately,
             # never lease it again — a client retry loop cannot
             # livelock the scheduler with known-bad work.
+            # The key was never queued, so nothing is journaled.
             self.stats.quarantine_hits += 1
-            self.live[key] = _Job(spec=spec, key=key,
-                                  subscribers=[(submission, index)])
-            self._settle(_failed(
-                spec, "job failed — quarantined",
-                f"{key}: quarantined after failing the same way twice "
-                f"({quarantine.get('kind', FAIL_ERROR)}: "
-                f"{quarantine.get('error', '')})", FAIL_QUARANTINED))
+            self._deliver(
+                _Job(spec=spec, key=key, subscribers=[(submission, index)]),
+                _failed(spec, "job failed — quarantined",
+                        f"{key}: quarantined after failing the same way "
+                        f"twice ({quarantine.get('kind', FAIL_ERROR)}: "
+                        f"{quarantine.get('error', '')})",
+                        FAIL_QUARANTINED))
             return
         job = self.live.get(key)
         if job is not None:
@@ -784,6 +785,11 @@ class HubCore:
         self._note_failure(job, outcome)
         self._journal({"op": "settled", "key": job.key,
                        "error": outcome.error})
+        self._deliver(job, outcome, worker)
+
+    def _deliver(self, job: _Job, outcome: RunOutcome,
+                 worker: Optional[WorkerState] = None) -> None:
+        """Count one outcome and stream it to the job's subscribers."""
         if outcome.error is not None:
             self.stats.failed += 1
             if worker is not None:

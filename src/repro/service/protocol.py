@@ -324,8 +324,12 @@ def connect(address: str, timeout: Optional[float] = None) -> socket.socket:
             raise OSError("unix sockets are unavailable on this "
                           "platform; use host:port")
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(target)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(target)
+        except BaseException:
+            sock.close()  # as create_connection does for TCP
+            raise
         return sock
     return socket.create_connection(target, timeout=timeout)
 

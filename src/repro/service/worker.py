@@ -88,6 +88,18 @@ class WorkerError(RuntimeError):
     with one line and an exit code (see ``repro worker``)."""
 
 
+def _close_socket(sock: socket.socket) -> None:
+    """Shut down and close, ignoring a socket that is already gone."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 def _bound_send_timeout(sock: socket.socket,
                         seconds: float = SEND_TIMEOUT_S) -> None:
     """Bound blocking sends without touching the receive side.
@@ -198,14 +210,7 @@ class ReproWorker:
         self._stop_event.set()
         sock = self._sock
         if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _close_socket(sock)
 
     def run(self) -> int:
         """Warm, dial, register, then serve leases until told to stop.
@@ -263,24 +268,32 @@ class ReproWorker:
     def _connect(self) -> None:
         self._inbox.clear()  # stale frames die with their connection
         self.address = self.addresses[self._target % len(self.addresses)]
-        self._sock = connect(self.address, timeout=self.timeout)
-        _bound_send_timeout(self._sock)
-        self._send(register_frame(jobs=self.jobs,
-                                  replica_batch=self.replica_batch,
-                                  name=self.name, uid=self.uid,
-                                  heartbeat_s=self.heartbeat_override_s))
-        reply = read_frame(self._sock)
-        if reply is None:
-            raise WorkerError(
-                "server closed the connection during registration")
-        if reply.get("type") == "error":
-            raise WorkerError(
-                f"registration refused [{reply.get('code')}]: "
-                f"{reply.get('message')}")
-        if reply.get("type") != "registered":
-            raise WorkerError(
-                f"expected a registered frame, got "
-                f"{reply.get('type')!r}")
+        previous, self._sock = self._sock, None
+        if previous is not None:
+            _close_socket(previous)  # the connection that was lost
+        self._sock = sock = connect(self.address, timeout=self.timeout)
+        try:
+            _bound_send_timeout(sock)
+            self._send(register_frame(jobs=self.jobs,
+                                      replica_batch=self.replica_batch,
+                                      name=self.name, uid=self.uid,
+                                      heartbeat_s=self.heartbeat_override_s))
+            reply = read_frame(sock)
+            if reply is None:
+                raise WorkerError(
+                    "server closed the connection during registration")
+            if reply.get("type") == "error":
+                raise WorkerError(
+                    f"registration refused [{reply.get('code')}]: "
+                    f"{reply.get('message')}")
+            if reply.get("type") != "registered":
+                raise WorkerError(
+                    f"expected a registered frame, got "
+                    f"{reply.get('type')!r}")
+        except BaseException:
+            self._sock = None
+            _close_socket(sock)
+            raise
         self.worker_id = reply.get("worker_id")
         interval = reply.get("heartbeat_interval_s")
         if isinstance(interval, (int, float)) and interval > 0:

@@ -173,13 +173,10 @@ class HubMachine(RuleBasedStateMachine):
 
     def on_record(self, record, fed):
         key, error = record.get("key"), record.get("error")
-        verdict = "quarantined after" in str(error)
         if record["op"] == "quarantined" or (
-                record["op"] == "settled" and not verdict
-                and self.quarantining is None):
+                record["op"] == "settled" and self.quarantining is None):
             # Exactly once: a settlement (or the quarantine journaled
-            # just ahead of it) retires a queued, unsettled key.  A
-            # quarantine verdict settles a key that was never queued.
+            # just ahead of it) retires a queued, unsettled key.
             assert key in self.replayed[0]
         apply_record(*self.replayed, record)
         if record["op"] == "quarantined":
@@ -190,10 +187,10 @@ class HubMachine(RuleBasedStateMachine):
         self.settled.add(key)
         if error is None:
             self.strikes.pop(key, None)
-        elif not error.startswith(DROPPED) and not verdict:
+        elif not error.startswith(DROPPED):
             # An outcome this machine fed, or the core's own ERROR for
-            # work that cannot run any more; neither a cancelled job
-            # retired nor a quarantine verdict is a new failure.
+            # work that cannot run any more; a cancelled job retired
+            # is not a new failure.
             kind = fed[1] if fed and fed[0] == key else "ERROR"
             assert self.breaking is None or key in self.breaking
             counts = self.strikes.setdefault(key, {})
@@ -487,6 +484,36 @@ class TestFoundByTheMachine:
         assert ("b", 0) not in results
         assert started == [[first.key(), twin.key()], [twin.key()]]
         assert twin.key() not in core.failures
+
+
+class TestQuarantineVerdict:
+    def test_quarantined_resubmit_appends_no_journal_record(self):
+        # A verdict answers a key that is never queued, so it must not
+        # journal a settlement (nor relay one to standbys).
+        core = hub(MemoryCache(), local=True)
+        spec = SPECS[0]
+
+        def feed(event):
+            return list(core.handle(event, 0.0))
+
+        feed(Opened(1, "client"))
+        feed(Received(1, {"type": "hello", "version": PROTOCOL_VERSION}))
+        for attempt in range(2):
+            feed(Received(1, {"type": "submit", "submit_id": f"s{attempt}",
+                              "specs": [spec.canonical()]}))
+            feed(LocalOutcome(RunOutcome(
+                spec, report_for(spec), cached=False, elapsed_s=0.0,
+                error=f"{spec.key()}: boom", kind="ERROR")))
+            feed(LocalDone(None))
+        assert spec.key() in core.quarantined
+        effects = feed(Received(1, {"type": "submit", "submit_id": "again",
+                                    "specs": [spec.canonical()]}))
+        assert not [e for e in effects if isinstance(e, Append)]
+        results = [e.frame for e in effects if isinstance(e, Send)
+                   and e.frame["type"] == "result"]
+        assert [r["kind"] for r in results] == ["QUARANTINED"]
+        assert core.stats.quarantine_hits == 1
+        assert core.stats.failed == 3
 
 
 class TestCoreImports:

@@ -42,10 +42,13 @@ from repro.service import (
     parse_address,
 )
 from repro.service.journal import replay
+from repro.service import client as client_module
+from repro.service import worker as worker_module
 from repro.service.protocol import (
     connect,
     decode_payload,
     encode_frame,
+    error_frame,
     hello_frame,
     read_frame,
     register_frame,
@@ -1010,6 +1013,79 @@ class TestReconnectClient:
                                   max_delay_s=0.1))
         assert "3 tries total" in str(excinfo.value)
         assert time.monotonic() - started < 30
+
+
+@pytest.fixture
+def scripted_server():
+    """Factory: a TCP listener answering connection ``i`` with
+    ``replies[i]`` (after reading one frame), or, for ``None``,
+    closing it at once."""
+    servers = []
+
+    def start(replies):
+        server = socket.create_server(("127.0.0.1", 0))
+        servers.append(server)
+
+        def serve():
+            for reply in replies:
+                conn, __ = server.accept()
+                with conn:
+                    if reply is not None:
+                        read_frame(conn)
+                        write_frame(conn, reply)
+                        read_frame(conn)  # until the peer hangs up
+
+        threading.Thread(target=serve, daemon=True).start()
+        return "127.0.0.1:%d" % server.getsockname()[1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def _record_dials(monkeypatch, module):
+    """Every socket ``module.connect`` dials, in order."""
+    dialed = []
+
+    def dial(*args, **kwargs):
+        dialed.append(connect(*args, **kwargs))
+        return dialed[-1]
+
+    monkeypatch.setattr(module, "connect", dial)
+    return dialed
+
+
+class TestSocketsClosedOnFailure:
+    def test_client_closes_socket_when_handshake_raises(
+            self, scripted_server, monkeypatch):
+        # The server hangs up before the welcome: __enter__ raises, so
+        # no __exit__ would ever close what connect() dialed.
+        address = scripted_server([None])
+        dialed = _record_dials(monkeypatch, client_module)
+        with pytest.raises(OSError):
+            ServiceClient(address, timeout=10).connect()
+        assert dialed[0].fileno() == -1
+
+    def test_worker_closes_socket_when_registration_refused(
+            self, scripted_server, monkeypatch):
+        address = scripted_server([error_frame("refused", "no")])
+        dialed = _record_dials(monkeypatch, worker_module)
+        worker = ReproWorker(address, jobs=1, quiet=True)
+        with pytest.raises(WorkerError, match="refused"):
+            worker._connect()
+        assert dialed[0].fileno() == -1
+
+    def test_worker_reconnect_closes_the_lost_socket(
+            self, scripted_server, monkeypatch):
+        registered = {"type": "registered", "worker_id": "w1"}
+        address = scripted_server([registered, registered])
+        dialed = _record_dials(monkeypatch, worker_module)
+        worker = ReproWorker(address, jobs=1, quiet=True)
+        worker._connect()
+        worker._connect()
+        assert [sock.fileno() == -1 for sock in dialed] == [True, False]
+        worker.stop()
+        assert dialed[1].fileno() == -1
 
 
 class TestJournal:
