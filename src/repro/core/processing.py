@@ -151,7 +151,8 @@ class ProcessingLogic:
                 self.classified_drops.add(1, packet.size)
                 return
             if decision.action == "eps":
-                self.to_eps.add(1, packet.size)
+                if self.to_eps.enabled:
+                    self.to_eps.add(1, packet.size)
                 self.eps_sink(packet)
                 return
             if decision.dst != packet.dst:
@@ -161,7 +162,8 @@ class ProcessingLogic:
         if self.mode is HostBufferMode.HOST_BUFFERED:
             # The host released this packet against a grant; the switch
             # has no buffering for it — straight into the fabric.
-            self.to_ocs.add(1, packet.size)
+            if self.to_ocs.enabled:
+                self.to_ocs.add(1, packet.size)
             self.ocs_sink(packet)
             return
         self.voqs.enqueue(packet)
@@ -224,7 +226,8 @@ class ProcessingLogic:
                 packet = self.voqs.dequeue(src, dst)
                 budget -= packet.size
                 diverted += packet.size
-                self.to_eps.add(1, packet.size)
+                if self.to_eps.enabled:
+                    self.to_eps.add(1, packet.size)
                 self.eps_sink(packet)
         return diverted
 
@@ -232,7 +235,8 @@ class ProcessingLogic:
 
     def _voq_changed(self, src: int, dst: int, queued_bytes: int) -> None:
         """Status-change hook: emit a request, resume draining."""
-        self.requests_generated.add(1)
+        if self.requests_generated.enabled:
+            self.requests_generated.add(1)
         if self.on_request is not None:
             # Construct lazily: with no listener the Request object
             # would be allocated twice per packet just to be dropped.
@@ -261,11 +265,12 @@ class ProcessingLogic:
                 or self.sim.now < self._window_start[src]):
             self._draining[src] = False
             return
-        if self.voqs.is_empty(src, dst):
+        queued = self.voqs._packet_rows[src][dst]
+        if not queued:
             self._draining[src] = False
             return
         if (self._batch_inject is not None
-                and self.voqs._packet_rows[src][dst] > 1
+                and queued > 1
                 and self.on_request is None
                 and self.classifier.is_default
                 and self._batch_gate(dst)
@@ -281,7 +286,8 @@ class ProcessingLogic:
             self._draining[src] = False
             return
         packet = self.voqs.dequeue(src, dst)
-        self.to_ocs.add(1, packet.size)
+        if self.to_ocs.enabled:
+            self.to_ocs.add(1, packet.size)
 
         def injected() -> None:
             self.ocs_sink(packet)
@@ -325,10 +331,11 @@ class ProcessingLogic:
         if len(times) < 2:
             return False
         packets = self.voqs.dequeue_run(src, dst, times)
-        nbytes = 0
-        for packet in packets:
-            nbytes += packet.size
-        self.to_ocs.add(len(packets), nbytes)
+        if self.to_ocs.enabled:
+            nbytes = 0
+            for packet in packets:
+                nbytes += packet.size
+            self.to_ocs.add(len(packets), nbytes)
         if inject_times:
             self._batch_inject(packets[:len(inject_times)], inject_times)
         self.sim.at(t, partial(self._drain_step, src),

@@ -82,31 +82,30 @@ class FlowClassifier:
 
     def __init__(self, rules: Optional[List[ClassifierRule]] = None) -> None:
         self._rules: List[ClassifierRule] = list(rules or [])
+        #: True while the table holds no rules.  The hot ingress path
+        #: reads this plain attribute (kept in step by every mutator) to
+        #: skip rule matching, and the per-packet ``Classification``
+        #: allocation, entirely — default classification is the
+        #: identity: ``voq`` toward ``packet.dst``.
+        self.is_default = not self._rules
 
     def add_rule(self, rule: ClassifierRule) -> None:
         """Append a rule at the lowest priority (end of table)."""
         self._rules.append(rule)
+        self.is_default = False
 
     def insert_rule(self, index: int, rule: ClassifierRule) -> None:
         """Insert a rule at ``index`` (0 = highest priority)."""
         self._rules.insert(index, rule)
+        self.is_default = False
 
     def clear(self) -> None:
         """Remove all rules, restoring default-only behaviour."""
         self._rules.clear()
+        self.is_default = True
 
     def __len__(self) -> int:
         return len(self._rules)
-
-    @property
-    def is_default(self) -> bool:
-        """True while the table holds no rules.
-
-        The hot ingress path checks this to skip rule matching (and the
-        per-packet ``Classification`` allocation) entirely — default
-        classification is the identity: ``voq`` toward ``packet.dst``.
-        """
-        return not self._rules
 
     def classify(self, packet: Packet) -> Classification:
         """Return the action for ``packet`` (default: voq to packet.dst)."""

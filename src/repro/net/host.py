@@ -209,7 +209,8 @@ class Host:
             queue.popleft()
             packet.dequeued_ps = self.sim.now
             self._change_occupancy(-packet.size)
-            self.sent_on_grant.add(1, packet.size)
+            if self.sent_on_grant.enabled:
+                self.sent_on_grant.add(1, packet.size)
             self.uplink.send(packet)
 
     # -- receive side -------------------------------------------------------------
@@ -217,7 +218,8 @@ class Host:
     def receive(self, packet: Packet) -> None:
         """Accept a delivered packet from the switch's egress link."""
         packet.delivered_ps = self.sim.now
-        self.received.add(1, packet.size)
+        if self.received.enabled:
+            self.received.add(1, packet.size)
         if self.packet_log is not None:
             self.packet_log.append_packet(packet, packet.delivered_ps)
         else:
@@ -235,7 +237,8 @@ class Host:
         simulator state at true delivery time.
         """
         packet.delivered_ps = arrival_ps
-        self.received.add(1, packet.size)
+        if self.received.enabled:
+            self.received.add(1, packet.size)
         if self.packet_log is not None:
             self.packet_log.append_packet(packet, arrival_ps)
         else:
@@ -247,7 +250,8 @@ class Host:
         self._queued_bytes += delta
         if self._queued_bytes > self.peak_queued_bytes:
             self.peak_queued_bytes = self._queued_bytes
-        self.occupancy.record(self.sim.now, self._queued_bytes)
+        if self.occupancy.enabled:
+            self.occupancy.record(self.sim.now, self._queued_bytes)
 
 
 __all__ = ["Host", "HostBufferMode"]

@@ -133,7 +133,8 @@ class Link:
             # the transmitter, as a real PHY-down event would lose it.
             self.fault_drops.add(1, packet.size)
             return self._down_until
-        self.accepted.add(1, packet.size)
+        if self.accepted.enabled:
+            self.accepted.add(1, packet.size)
         start = max(self.sim.now, self._free_at)
         tx_ps = frame_tx_time_ps(packet.size, self.rate_bps)
         self._free_at = start + tx_ps
@@ -147,13 +148,15 @@ class Link:
                 # determined now, so the delivery event is pure
                 # overhead.  (Past the horizon the event would never
                 # have fired; scheduling it keeps that exact.)
-                self.delivered.add(1, packet.size)
+                if self.delivered.enabled:
+                    self.delivered.add(1, packet.size)
                 self._eager_fn(packet, arrival)
                 return arrival
         sink = self._sink
 
         def deliver() -> None:
-            self.delivered.add(1, packet.size)
+            if self.delivered.enabled:
+                self.delivered.add(1, packet.size)
             sink(packet)
 
         self.sim.at(arrival, deliver, label=self._event_label)
@@ -175,7 +178,8 @@ class Link:
             raise ConfigurationError(f"link {self.name} has no sink connected")
         if when > self._committed_until:
             self._committed_until = when
-        self.accepted.add(1, packet.size)
+        if self.accepted.enabled:
+            self.accepted.add(1, packet.size)
         start = max(when, self._free_at)
         tx_ps = frame_tx_time_ps(packet.size, self.rate_bps)
         self._free_at = start + tx_ps
@@ -185,7 +189,8 @@ class Link:
             horizon = self.sim.run_until
             if (horizon is not None and arrival <= horizon
                     and self._eager_guard()):
-                self.delivered.add(1, packet.size)
+                if self.delivered.enabled:
+                    self.delivered.add(1, packet.size)
                 self._eager_fn(packet, arrival)
                 return arrival
         self.sim.at(arrival, partial(self._deliver_one, packet),
@@ -213,7 +218,8 @@ class Link:
         self._committed_until = max(self._committed_until, times[-1])
         sizes = [p.size for p in packets]
         total = sum(sizes)
-        self.accepted.add(n, total)
+        if self.accepted.enabled:
+            self.accepted.add(n, total)
         first_size = sizes[0]
         if n >= 8 and sizes.count(first_size) == n:
             # Constant frame size: f_i = max(t_i, f_{i-1}) + tx has the
@@ -258,7 +264,8 @@ class Link:
                         self.sim.at(arrival,
                                     partial(self._deliver_one, packet),
                                     label=self._event_label)
-                self.delivered.add(delivered, dbytes)
+                if self.delivered.enabled:
+                    self.delivered.add(delivered, dbytes)
                 return
         at = self.sim.at
         deliver = self._deliver_one
@@ -267,7 +274,8 @@ class Link:
             at(arrival, partial(deliver, packet), label=label)
 
     def _deliver_one(self, packet: Packet) -> None:
-        self.delivered.add(1, packet.size)
+        if self.delivered.enabled:
+            self.delivered.add(1, packet.size)
         self._sink(packet)
 
     @property

@@ -18,7 +18,7 @@ utilisation counts wire bytes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 #: Preamble (7) + SFD (1) + inter-frame gap (12) in bytes.
@@ -61,6 +61,9 @@ class Packet:
         Opaque flow identifier assigned by the traffic generator.
     priority:
         0 = best effort; higher values are latency-sensitive (VOIP).
+    packet_id:
+        Unique id; left ``None``, the next one from the global counter
+        is assigned at construction.
     enqueued_ps / dequeued_ps / delivered_ps:
         Filled in as the packet crosses the switch; ``None`` until then.
     via:
@@ -74,13 +77,17 @@ class Packet:
     created_ps: int
     flow_id: int = 0
     priority: int = 0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: Optional[int] = None
     enqueued_ps: Optional[int] = None
     dequeued_ps: Optional[int] = None
     delivered_ps: Optional[int] = None
     via: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # The id is drawn here, not by a default factory: a factory is
+        # one more Python call per packet.
+        if self.packet_id is None:
+            self.packet_id = next(_packet_ids)
         if self.size <= 0:
             raise ValueError(f"packet size must be positive, got {self.size}")
         if self.src == self.dst:

@@ -1,8 +1,11 @@
 """The discrete-event simulation engine.
 
-:class:`Simulator` owns the clock and the event queue.  Model components
-hold a reference to the simulator and schedule callbacks on it.  The
-engine is deliberately minimal — the sophistication lives in the models.
+:class:`Simulator` is an :class:`~repro.sim.events.EventQueue` — the
+clock, the heap and the dispatch loop — plus the run guard and the
+per-component random streams.  Model components hold a reference to the
+simulator, read its clock as the plain attribute ``sim.now``, and
+schedule callbacks on it.  The engine is deliberately minimal — the
+sophistication lives in the models.
 
 Typical use::
 
@@ -14,15 +17,18 @@ Typical use::
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.random import RandomStreams
 
 
-class Simulator:
+class Simulator(EventQueue):
     """Single-threaded deterministic discrete-event simulator.
+
+    ``now`` (picoseconds), :meth:`schedule`, :meth:`at`, :meth:`cancel`
+    and :meth:`stop` come from :class:`~repro.sim.events.EventQueue`.
 
     Parameters
     ----------
@@ -32,13 +38,9 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0
-        self._queue = EventQueue()
+        super().__init__()
         self._running = False
-        self._stopped = False
         self.streams = RandomStreams(seed)
-        #: Count of events dispatched so far (for progress/diagnostics).
-        self.events_dispatched = 0
         #: The ``until`` bound of the in-progress :meth:`run`, or ``None``
         #: outside a bounded run.  Fast-lane components (chunked traffic
         #: sources, eager link delivery) consult this horizon to decide
@@ -46,13 +48,6 @@ class Simulator:
         #: purely event-driven execution would have observed.
         self.run_until: Optional[int] = None
         self._flow_ids = itertools.count(1)
-
-    # -- clock ---------------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in picoseconds."""
-        return self._now
 
     # -- identifiers ----------------------------------------------------------
 
@@ -65,38 +60,6 @@ class Simulator:
         id-identical no matter how many ran before them.
         """
         return next(self._flow_ids)
-
-    # -- scheduling ----------------------------------------------------------
-
-    def schedule(self, delay: int, callback: Callable[[], None],
-                 label: str = "") -> Event:
-        """Schedule ``callback`` to fire ``delay`` picoseconds from now.
-
-        Returns the :class:`Event`, which the caller may ``cancel()``.
-        A zero delay is allowed and fires after all events already
-        scheduled for the current instant (FIFO within a timestamp).
-        """
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule {delay}ps in the past (label={label!r})")
-        event = Event(self._now + delay, callback, label)
-        self._queue.push(event)
-        return event
-
-    def at(self, time: int, callback: Callable[[], None],
-           label: str = "") -> Event:
-        """Schedule ``callback`` at absolute time ``time`` (>= now)."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time}ps, now is {self._now}ps"
-                f" (label={label!r})")
-        event = Event(time, callback, label)
-        self._queue.push(event)
-        return event
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event (idempotent)."""
-        self._queue.cancel(event)
 
     # -- execution -----------------------------------------------------------
 
@@ -114,75 +77,29 @@ class Simulator:
             Safety valve for runaway models; raises
             :class:`SimulationError` when exceeded.
 
-        Returns the number of events dispatched by this call.
+        Events left behind by a :meth:`stop`, the event budget or a
+        raising callback stay queued in order; the next ``run`` resumes
+        with them.  Returns the number of events dispatched by this call.
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
         self._running = True
-        self._stopped = False
         self.run_until = until
-        dispatched = 0
-        # Hot loop: bind the queue methods once — at millions of events
-        # per run the repeated attribute lookups are measurable.
-        peek_time = self._queue.peek_time
-        pop_ready = self._queue.pop_ready
-        requeue = self._queue.requeue
-        bounded = until is not None
         try:
-            while not self._stopped:
-                next_time = peek_time()
-                if next_time is None:
-                    if bounded:
-                        self._now = max(self._now, until)
-                    break
-                if bounded and next_time > until:
-                    self._now = until
-                    break
-                # Batch-pop the whole same-timestamp burst: the heap
-                # walk and cancellation compaction are paid once per
-                # batch.  Events a callback schedules *at* this instant
-                # get higher sequence numbers and form the next batch,
-                # so FIFO-within-timestamp is preserved.
-                batch = pop_ready(next_time)
-                self._now = next_time
-                position = 0
-                n_batch = len(batch)
-                try:
-                    while position < n_batch:
-                        event = batch[position]
-                        position += 1
-                        if event.cancelled:
-                            # Cancelled by an earlier callback in this
-                            # very batch; already accounted.
-                            continue
-                        event.callback()
-                        dispatched += 1
-                        self.events_dispatched += 1
-                        if max_events is not None \
-                                and dispatched >= max_events:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}; "
-                                "model is likely in an event loop")
-                        if self._stopped:
-                            break
-                finally:
-                    if position < n_batch:
-                        # Stop request, event budget or a raising
-                        # callback: the unconsumed tail goes back at
-                        # its original heap position.
-                        requeue(batch[position:])
+            return self._dispatch(until, max_events)
         finally:
             self._running = False
             self.run_until = None
-        return dispatched
-
-    def stop(self) -> None:
-        """Request the current ``run`` to return after this event."""
-        self._stopped = True
 
     def pending_events(self) -> int:
         """Number of live events currently queued."""
-        return len(self._queue)
+        return len(self)
+
+    def __bool__(self) -> bool:
+        # The inherited ``len()`` counts queued events; a simulator is
+        # truthy whatever its queue holds, so ``sim or Simulator()``
+        # never swaps an idle one.
+        return True
 
 
 __all__ = ["Simulator"]

@@ -1,4 +1,4 @@
-"""Event and event-queue primitives.
+"""Events, and the heap that orders and dispatches them.
 
 The queue is a binary heap of ``(time, sequence, Event)`` tuples.  The
 monotonically increasing sequence number guarantees a total order even
@@ -6,10 +6,16 @@ when many events share a timestamp, which makes runs deterministic and
 lets FIFO semantics fall out naturally: events scheduled earlier at the
 same instant fire earlier.
 
-Both classes sit on the engine's hottest path — every packet hop is at
-least one push/pop — so :class:`Event` is a ``slots=True`` dataclass
-(no per-event ``__dict__`` allocation) and the queue keeps its live
-count consistent with O(1) bookkeeping instead of heap scans.
+This module is the only one that knows that layout.  :class:`EventQueue`
+pushes (:meth:`~EventQueue.schedule`, :meth:`~EventQueue.at`), pops and
+dispatches, and :class:`~repro.sim.engine.Simulator` inherits all three.
+Every packet hop is at least one push and one pop, so both stay free of
+per-event method calls and bookkeeping: :class:`Event` is a
+``slots=True`` dataclass (no per-event ``__dict__``), a push is one
+``heappush``, and the loop pops one event at a time off the top,
+dropping cancelled events as it meets them.  A stop, a spent event
+budget or a raising callback simply leaves the rest of the heap where
+it is.
 """
 
 from __future__ import annotations
@@ -47,16 +53,6 @@ class Event:
     callback: Callable[[], None]
     label: str = ""
     cancelled: bool = field(default=False, compare=False)
-    #: Internal: True once an :class:`EventQueue` has subtracted this
-    #: event's cancellation from its live count.  Lets the queue stay
-    #: consistent whether the cancel arrived via :meth:`EventQueue.cancel`
-    #: or directly via :meth:`Event.cancel`.
-    accounted: bool = field(default=False, compare=False, repr=False)
-    #: Internal: total-order tiebreak assigned by :meth:`EventQueue.push`.
-    #: Kept on the event so :meth:`EventQueue.requeue` can reinsert a
-    #: batch-popped event *at its original position* relative to events
-    #: scheduled later at the same timestamp.
-    sequence: int = field(default=-1, compare=False, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the queue skips it when popped."""
@@ -64,114 +60,90 @@ class Event:
 
 
 class EventQueue:
-    """Deterministic min-heap of :class:`Event` objects.
+    """Deterministic min-heap of :class:`Event` objects, with its clock.
 
     Not thread-safe; the simulator is single-threaded by design.
 
-    ``len(queue)`` is the number of *live* (non-cancelled) events.  An
-    event cancelled directly via :meth:`Event.cancel` (bypassing
-    :meth:`cancel`) is reconciled into the count the next time the
-    queue touches it — on :meth:`cancel`, or when :meth:`pop` /
-    :meth:`peek_time` compact it off the heap — so interleaved
-    cancel/peek sequences can never drift the count.
+    :attr:`now` is a plain attribute that only the dispatch loop
+    advances.  ``len(queue)`` is the number of *live* (non-cancelled)
+    events, counted when asked: an event cancelled directly via
+    :meth:`Event.cancel` drops out of the count at once, and no push or
+    pop pays for a running count that nothing on the packet path reads.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Event]] = []
         self._next_sequence = itertools.count().__next__
-        self._live = 0
+        self._stopped = False
+        #: Current simulated time in picoseconds.
+        self.now = 0
+        #: Count of events dispatched so far (for progress/diagnostics),
+        #: brought up to date when each dispatch loop returns.
+        self.events_dispatched = 0
 
     def __len__(self) -> int:
-        """Number of *live* (non-cancelled) events still queued."""
-        return self._live
+        """Number of *live* (non-cancelled) events still queued; O(n)."""
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
+
+    # -- pushing ---------------------------------------------------------------
 
     def push(self, event: Event) -> None:
         """Insert an event; O(log n).
 
         Each :class:`Event` instance must be pushed at most once.
         """
-        sequence = self._next_sequence()
-        event.sequence = sequence
-        heapq.heappush(self._heap, (event.time, sequence, event))
-        self._live += 1
+        heapq.heappush(self._heap,
+                       (event.time, self._next_sequence(), event))
 
-    def _discount(self, event: Event) -> None:
-        """Subtract a cancelled event from the live count exactly once."""
-        if not event.accounted:
-            event.accounted = True
-            self._live -= 1
+    def schedule(self, delay: int, callback: Callable[[], None],
+                 label: str = "") -> Event:
+        """Schedule ``callback`` to fire ``delay`` picoseconds from now.
+
+        Returns the :class:`Event`, which the caller may ``cancel()``.
+        A zero delay is allowed and fires after all events already
+        scheduled for the current instant (FIFO within a timestamp).
+        """
+        if delay < 0:
+            raise SimulationError(
+                f"cannot schedule {delay}ps in the past (label={label!r})")
+        time = self.now + delay
+        event = Event(time, callback, label)
+        heapq.heappush(self._heap, (time, self._next_sequence(), event))
+        return event
+
+    def at(self, time: int, callback: Callable[[], None],
+           label: str = "") -> Event:
+        """Schedule ``callback`` at absolute time ``time`` (>= now)."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time}ps, now is {self.now}ps"
+                f" (label={label!r})")
+        event = Event(time, callback, label)
+        heapq.heappush(self._heap, (time, self._next_sequence(), event))
+        return event
+
+    # -- popping ---------------------------------------------------------------
 
     def pop(self) -> Event:
         """Remove and return the earliest live event; O(log n) amortised.
 
-        Raises :class:`SimulationError` when empty.
-        """
-        while self._heap:
-            __, __, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._discount(event)
-                continue
-            # Mark the event accounted: it has left the live count, so
-            # a later cancel() on the already-fired event (stale-timer
-            # cleanup) must not subtract it a second time.
-            event.accounted = True
-            self._live -= 1
-            return event
-        raise SimulationError("pop from empty event queue")
-
-    def pop_ready(self, until_time: int) -> list[Event]:
-        """Pop every live event with ``time <= until_time``, in order.
-
-        The batch fast path under :meth:`Simulator.run
-        <repro.sim.engine.Simulator.run>`: on dense same-timestamp
-        bursts the per-event heap-tuple unpack and cancellation checks
-        are paid once per batch instead of once per event.  Popped
-        events leave the live count exactly as :meth:`pop` would;
-        cancelled events encountered on the way are compacted and
-        reconciled.  A consumer that cannot dispatch the whole batch
-        (stop request, event budget, a raising callback) must hand the
-        unconsumed tail back via :meth:`requeue` — and must itself skip
-        any batch member whose ``cancelled`` flag was raised by an
-        earlier callback in the batch.
+        Does not move the clock.  Raises :class:`SimulationError` when
+        empty.
         """
         heap = self._heap
-        ready: list[Event] = []
-        while heap and heap[0][0] <= until_time:
-            __, __, event = heapq.heappop(heap)
-            if event.cancelled:
-                self._discount(event)
-                continue
-            event.accounted = True
-            self._live -= 1
-            ready.append(event)
-        return ready
-
-    def requeue(self, events: "list[Event]") -> None:
-        """Reinsert events handed out by :meth:`pop_ready` but not run.
-
-        Events keep the sequence number :meth:`push` assigned, so they
-        land *before* anything scheduled after them at the same
-        timestamp — order is exactly as if they had never been popped.
-        Events cancelled while popped are dropped (they are already
-        accounted).
-        """
-        for event in events:
-            if event.cancelled:
-                continue
-            heapq.heappush(self._heap,
-                           (event.time, event.sequence, event))
-            event.accounted = False
-            self._live += 1
+        while heap:
+            event = heapq.heappop(heap)[2]
+            if not event.cancelled:
+                return event
+        raise SimulationError("pop from empty event queue")
 
     def peek_time(self) -> Optional[int]:
         """Firing time of the earliest live event, or ``None`` if empty.
 
-        Compacts cancelled events off the top as a side effect,
-        reconciling any that were cancelled behind the queue's back.
+        Compacts cancelled events off the top as a side effect.
         """
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            self._discount(heap[0][2])
             heapq.heappop(heap)
         if not heap:
             return None
@@ -180,14 +152,63 @@ class EventQueue:
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event (idempotent)."""
         event.cancelled = True
-        self._discount(event)
 
     def clear(self) -> None:
         """Drop every queued event."""
-        for __, __, event in self._heap:
-            event.accounted = True  # a later cancel() must be a no-op
         self._heap.clear()
-        self._live = 0
+
+    # -- dispatching -------------------------------------------------------------
+
+    def stop(self) -> None:
+        """Make the dispatch loop return after the current event."""
+        self._stopped = True
+
+    def _dispatch(self, until: Optional[int],
+                  max_events: Optional[int]) -> int:
+        """Fire events in ``(time, sequence)`` order; return how many.
+
+        Pops one event at a time.  Before each callback the clock moves
+        to the event's time.  The loop ends when the heap holds no live
+        event, when the next one would fire after ``until`` (it goes
+        back on the heap and the clock moves to ``until``), after a
+        :meth:`stop`, or by raising once ``max_events`` callbacks have
+        run.  A raising callback ends it too and is not counted.
+        """
+        heap = self._heap
+        heappop = heapq.heappop
+        bounded = until is not None
+        # ``dispatched`` is at least 1 when compared, so 0 never stops.
+        budget = 0 if max_events is None else max(max_events, 1)
+        dispatched = 0
+        now = self.now
+        self._stopped = False
+        try:
+            while heap:
+                time, sequence, event = heappop(heap)
+                if event.cancelled:
+                    continue
+                if bounded and time > until:
+                    heapq.heappush(heap, (time, sequence, event))
+                    self.now = until
+                    return dispatched
+                if time != now:
+                    # Only on a new instant: models keep ``now`` in
+                    # packet stamps, and one int object per instant
+                    # (not one per event) is what those then hold.
+                    self.now = now = time
+                event.callback()
+                dispatched += 1
+                if dispatched == budget:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; "
+                        "model is likely in an event loop")
+                if self._stopped:
+                    return dispatched
+            if bounded and until > self.now:
+                self.now = until
+            return dispatched
+        finally:
+            self.events_dispatched += dispatched
 
 
 __all__ = ["Event", "EventQueue"]

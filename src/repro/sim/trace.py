@@ -12,42 +12,38 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
 
-def _noop_add(count: int = 1, nbytes: int = 0) -> None:
-    return None
-
-
 class Counter:
     """Monotonic named counter with an optional byte dimension.
 
     Used for packet/byte accounting throughout the switch models.
-    ``disable()`` swaps :meth:`add` for a module-level no-op on the
-    instance, so a disabled counter costs one failed instance-dict
-    lookup less than even the two integer adds — untraced hot loops
-    skip the bookkeeping entirely.
+    :attr:`enabled` is a plain attribute that :meth:`disable` and
+    :meth:`enable` write.  Per-packet call sites test it before they
+    call :meth:`add`, so a disabled counter costs one attribute read and
+    no call; :meth:`add` itself checks it too, for every other caller.
     """
+
+    __slots__ = ("name", "count", "bytes", "enabled")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.bytes = 0
+        #: False while :meth:`disable` is in effect.
+        self.enabled = True
 
     def add(self, count: int = 1, nbytes: int = 0) -> None:
         """Increment by ``count`` events and ``nbytes`` bytes."""
-        self.count += count
-        self.bytes += nbytes
+        if self.enabled:
+            self.count += count
+            self.bytes += nbytes
 
     def disable(self) -> None:
         """Stop counting: subsequent :meth:`add` calls are no-ops."""
-        self.add = _noop_add  # type: ignore[method-assign]
+        self.enabled = False
 
     def enable(self) -> None:
         """Resume counting after :meth:`disable` (idempotent)."""
-        self.__dict__.pop("add", None)
-
-    @property
-    def enabled(self) -> bool:
-        """False while :meth:`disable` is in effect."""
-        return "add" not in self.__dict__
+        self.enabled = True
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, count={self.count}, bytes={self.bytes})"
@@ -59,33 +55,33 @@ class TimeSeries:
     Construct with ``enabled=False`` (or call :meth:`disable`) for a
     no-op recorder: per-packet occupancy tracks are pure diagnostics,
     and untraced runs should pay neither the two list appends nor the
-    unbounded memory growth.
+    unbounded memory growth.  As with :class:`Counter`, :attr:`enabled`
+    is a plain attribute that per-packet call sites test before they
+    call :meth:`record`.
     """
+
+    __slots__ = ("name", "times", "values", "enabled")
 
     def __init__(self, name: str, enabled: bool = True) -> None:
         self.name = name
         self.times: List[int] = []
         self.values: List[float] = []
-        if not enabled:
-            self.disable()
+        #: False while :meth:`disable` is in effect.
+        self.enabled = enabled
 
     def record(self, time_ps: int, value: float) -> None:
         """Append one sample."""
-        self.times.append(time_ps)
-        self.values.append(value)
+        if self.enabled:
+            self.times.append(time_ps)
+            self.values.append(value)
 
     def disable(self) -> None:
         """Stop recording: subsequent :meth:`record` calls are no-ops."""
-        self.record = _noop_record  # type: ignore[method-assign]
+        self.enabled = False
 
     def enable(self) -> None:
         """Resume recording after :meth:`disable` (idempotent)."""
-        self.__dict__.pop("record", None)
-
-    @property
-    def enabled(self) -> bool:
-        """False while :meth:`disable` is in effect."""
-        return "record" not in self.__dict__
+        self.enabled = True
 
     def __len__(self) -> int:
         return len(self.values)
@@ -162,18 +158,14 @@ class Probe:
         sim.schedule(self.period_ps, fire, label=label)
 
 
-def _noop_record(time_ps: int, value: float) -> None:
-    return None
-
-
 @contextmanager
 def untraced(*instruments: "Counter | TimeSeries") -> Iterator[None]:
     """Disable ``instruments`` for the duration of the block.
 
-    The no-op fast path means code under the block skips per-event
-    bookkeeping entirely; previously accumulated state is preserved and
-    recording resumes on exit (only for instruments that were enabled
-    when the block was entered).
+    Code under the block skips per-event bookkeeping entirely;
+    previously accumulated state is preserved and recording resumes on
+    exit (only for instruments that were enabled when the block was
+    entered).
     """
     was_enabled = [inst for inst in instruments if inst.enabled]
     for inst in was_enabled:

@@ -14,7 +14,7 @@ from typing import Callable, Deque, Optional
 
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.errors import ConfigurationError
+from repro.sim.errors import CapacityError, ConfigurationError
 from repro.sim.trace import Counter, TimeSeries
 
 
@@ -97,24 +97,45 @@ class PacketQueue:
     # -- operations -------------------------------------------------------------
 
     def enqueue(self, packet: Packet) -> bool:
-        """Append ``packet``; returns False if it was dropped at capacity."""
+        """Append ``packet``; returns False if it was dropped at capacity.
+
+        Under :attr:`DropPolicy.ERROR` the :class:`CapacityError` names
+        the cap that tripped.
+        """
+        size = packet.size
+        queue = self._queue
+        queued = self._bytes + size
         over_bytes = (self.capacity_bytes is not None
-                      and self._bytes + packet.size > self.capacity_bytes)
+                      and queued > self.capacity_bytes)
         over_packets = (self.capacity_packets is not None
-                        and len(self._queue) + 1 > self.capacity_packets)
+                        and len(queue) >= self.capacity_packets)
         if over_bytes or over_packets:
             if self.policy is DropPolicy.ERROR:
-                from repro.sim.errors import CapacityError
-                raise CapacityError(
-                    f"queue {self.name} overflow: {self._bytes}B +"
-                    f" {packet.size}B > {self.capacity_bytes}B")
-            self.drops.add(1, packet.size)
+                tripped = []
+                if over_bytes:
+                    tripped.append(f"{self._bytes}B + {size}B >"
+                                   f" {self.capacity_bytes}B")
+                if over_packets:
+                    tripped.append(f"{len(queue)} + 1 packets >"
+                                   f" {self.capacity_packets} packets")
+                raise CapacityError(f"queue {self.name} overflow: "
+                                    + " and ".join(tripped))
+            self.drops.add(1, size)
             return False
-        packet.enqueued_ps = self.sim.now
-        self._queue.append(packet)
-        self._bytes += packet.size
-        self.enqueues.add(1, packet.size)
-        self._note_change()
+        now = self.sim.now
+        packet.enqueued_ps = now
+        queue.append(packet)
+        self._bytes = queued
+        if self.enqueues.enabled:
+            self.enqueues.add(1, size)
+        if queued > self.peak_bytes:
+            self.peak_bytes = queued
+        if len(queue) > self.peak_packets:
+            self.peak_packets = len(queue)
+        if self.occupancy.enabled:
+            self.occupancy.record(now, queued)
+        if self.on_change is not None:
+            self.on_change(queued)
         return True
 
     def dequeue(self) -> Packet:
@@ -122,12 +143,20 @@ class PacketQueue:
 
         Raises ``IndexError`` when empty — callers must check
         :attr:`is_empty`; an unexpected empty dequeue is a protocol bug.
+        A dequeue cannot raise a peak, so only the series and the hook
+        see it.
         """
         packet = self._queue.popleft()
-        self._bytes -= packet.size
-        packet.dequeued_ps = self.sim.now
-        self.dequeues.add(1, packet.size)
-        self._note_change()
+        queued = self._bytes - packet.size
+        self._bytes = queued
+        now = self.sim.now
+        packet.dequeued_ps = now
+        if self.dequeues.enabled:
+            self.dequeues.add(1, packet.size)
+        if self.occupancy.enabled:
+            self.occupancy.record(now, queued)
+        if self.on_change is not None:
+            self.on_change(queued)
         return packet
 
     def popleft_run(self, times: "list[int]") -> "list[Packet]":
@@ -150,8 +179,12 @@ class PacketQueue:
             nbytes += packet.size
             packets.append(packet)
         self._bytes -= nbytes
-        self.dequeues.add(len(packets), nbytes)
-        self._note_change()
+        if self.dequeues.enabled:
+            self.dequeues.add(len(packets), nbytes)
+        if self.occupancy.enabled:
+            self.occupancy.record(self.sim.now, self._bytes)
+        if self.on_change is not None:
+            self.on_change(self._bytes)
         return packets
 
     def drain(self) -> "list[Packet]":
@@ -160,17 +193,6 @@ class PacketQueue:
         while self._queue:
             drained.append(self.dequeue())
         return drained
-
-    # -- internals ------------------------------------------------------------------
-
-    def _note_change(self) -> None:
-        if self._bytes > self.peak_bytes:
-            self.peak_bytes = self._bytes
-        if len(self._queue) > self.peak_packets:
-            self.peak_packets = len(self._queue)
-        self.occupancy.record(self.sim.now, self._bytes)
-        if self.on_change is not None:
-            self.on_change(self._bytes)
 
 
 __all__ = ["PacketQueue", "DropPolicy"]

@@ -93,7 +93,8 @@ class ElectricalPacketSwitch:
 
     def receive(self, packet: Packet) -> bool:
         """Accept a packet at ingress; False when tail-dropped at egress queue."""
-        self.received.add(1, packet.size)
+        if self.received.enabled:
+            self.received.add(1, packet.size)
         self._inside += 1
         queue = self._queues[packet.dst]
 
@@ -145,7 +146,8 @@ class ElectricalPacketSwitch:
 
         def finish() -> None:
             packet.via = "eps"
-            self.forwarded.add(1, packet.size)
+            if self.forwarded.enabled:
+                self.forwarded.add(1, packet.size)
             self._inside -= 1
             self._sinks[port](packet)
             self._drain_next(port)

@@ -198,7 +198,8 @@ class OpticalCircuitSwitch:
         if out != packet.dst:
             self.misdirected_drops.add(1, packet.size)
             return False
-        self.forwarded.add(1, packet.size)
+        if self.forwarded.enabled:
+            self.forwarded.add(1, packet.size)
         packet.via = "ocs"
         if self._eager_links is not None:
             when = self.sim.now + self.transit_ps
@@ -242,7 +243,8 @@ class OpticalCircuitSwitch:
         if out != first.dst:
             self.misdirected_drops.add(count, nbytes)
             return False
-        self.forwarded.add(count, nbytes)
+        if self.forwarded.enabled:
+            self.forwarded.add(count, nbytes)
         link = self._eager_links[out]
         transit = self.transit_ps
         # Only the *injections* depend on circuit state; a transit

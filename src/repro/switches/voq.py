@@ -130,19 +130,25 @@ class VoqBank:
     def enqueue(self, packet: Packet) -> bool:
         """Place ``packet`` into VOQ (packet.src, packet.dst).
 
-        Returns False if tail-dropped.  Fires the status hook either way
-        a real request generator watches occupancy, and a drop changes
-        nothing.
+        Returns False if tail-dropped.  Fires the status hook only for
+        an accepted packet: a real request generator watches occupancy,
+        and a drop changes nothing.
         """
-        q = self.queue(packet.src, packet.dst)
+        src = packet.src
+        dst = packet.dst
+        q = self._queues[src][dst]
+        if q is None:
+            q = self.queue(src, dst)
         accepted = q.enqueue(packet)
         if accepted:
-            self._touch(packet.src, packet.dst)
+            self._touch(src, dst)
         return accepted
 
     def dequeue(self, src: int, dst: int) -> Packet:
         """Remove the head packet of VOQ (src, dst)."""
-        q = self.queue(src, dst)
+        q = self._queues[src][dst]
+        if q is None:
+            q = self.queue(src, dst)
         packet = q.dequeue()
         self._touch(src, dst)
         return packet
@@ -160,13 +166,14 @@ class VoqBank:
         q = self.queue(src, dst)
         packets = q.popleft_run(times)
         row = self._byte_rows[src]
-        queued = q.bytes
+        queued = q._bytes
         self._total += queued - row[dst]
         row[dst] = queued
         self._dirty_rows.add(src)
         packet_row = self._packet_rows[src]
-        self._total_packets += len(q) - packet_row[dst]
-        packet_row[dst] = len(q)
+        count = len(q._queue)
+        self._total_packets += count - packet_row[dst]
+        packet_row[dst] = count
         now = self.sim.now
         pending = self._pending_departures
         for when, packet in zip(times, packets):
@@ -244,16 +251,18 @@ class VoqBank:
     # -- internals ---------------------------------------------------------------------
 
     def _touch(self, src: int, dst: int) -> None:
+        # Reads the queue's state directly: this runs twice per packet,
+        # and a property plus two ``__len__`` calls cost three frames.
         q = self._queues[src][dst]
-        assert q is not None
-        queued = q.bytes
+        queued = q._bytes
         row = self._byte_rows[src]
         self._total += queued - row[dst]
         row[dst] = queued
         self._dirty_rows.add(src)
         packet_row = self._packet_rows[src]
-        self._total_packets += len(q) - packet_row[dst]
-        packet_row[dst] = len(q)
+        count = len(q._queue)
+        self._total_packets += count - packet_row[dst]
+        packet_row[dst] = count
         occupancy = self._total
         if self._future_departed:
             # Settle batched departures that have now "happened"; what

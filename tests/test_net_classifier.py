@@ -94,6 +94,20 @@ class TestClassifier:
         assert classifier.classify(_packet()).action == "voq"
         assert len(classifier) == 0
 
+    def test_is_default_tracks_every_mutator(self):
+        # The ingress fast path skips rule matching on this attribute,
+        # so every mutator must keep it in step with the rule table.
+        assert FlowClassifier().is_default
+        assert not FlowClassifier([ClassifierRule(action="drop")]).is_default
+        classifier = FlowClassifier()
+        classifier.add_rule(ClassifierRule(action="drop", src=9))
+        assert not classifier.is_default
+        classifier.clear()
+        assert classifier.is_default
+        classifier.insert_rule(0, ClassifierRule(action="eps"))
+        assert not classifier.is_default
+        assert classifier.classify(_packet()).action == "eps"
+
     def test_non_matching_rules_fall_through(self):
         classifier = FlowClassifier([
             ClassifierRule(action="drop", src=9)])

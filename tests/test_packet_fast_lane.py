@@ -7,6 +7,9 @@ reach reports, same derived metrics.  These tests run the same scenario
 down both lanes and compare, plus unit coverage for the new pieces.
 """
 
+import collections
+import sys
+
 import pytest
 
 from repro.analysis.record import UNSET, PacketLog
@@ -277,6 +280,54 @@ class TestTraceFastPaths:
     def test_reference_framework_stays_traced(self):
         run = _scenario().build(packet_lane="reference")
         assert run.framework.processing.requests_generated.enabled
+
+
+#: Python calls into ``repro`` per delivered packet on :func:`_scenario`'s
+#: columnar run: 32.0 measured on CPython 3.11, plus 10% headroom for
+#: interpreter versions (3.12 inlines comprehensions, for one).
+CALLS_PER_PACKET_BOUND = 35.2
+
+
+class TestCallCount:
+    """Per-packet Python calls on the columnar lane.
+
+    Every call made by ``repro`` code during the run is counted with
+    ``sys.setprofile``.  Switched-off diagnostics must cost no call at
+    all, the clock is a plain attribute, and the total per delivered
+    packet stays under :data:`CALLS_PER_PACKET_BOUND`.
+    """
+
+    def test_calls_per_packet(self):
+        run = _scenario().build(packet_lane="columnar")
+        calls = collections.Counter()
+        into_disabled = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            module = frame.f_globals.get("__name__", "")
+            if not module.startswith("repro."):
+                return
+            name = frame.f_code.co_name
+            calls[module, name] += 1
+            if module == "repro.sim.trace" and name != "__init__":
+                # Past construction (lazy VOQs build theirs mid-run), a
+                # call that no enabled instrument owns is a call into a
+                # switched-off diagnostic.
+                owner = frame.f_locals.get("self")
+                if owner is None or not owner.enabled:
+                    into_disabled[name] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = run.run()
+        finally:
+            sys.setprofile(None)
+        assert not into_disabled
+        assert not [key for key in calls if key[1] == "now"]
+        per_packet = sum(calls.values()) / result.delivered_count
+        assert per_packet <= CALLS_PER_PACKET_BOUND, \
+            calls.most_common(10)
 
 
 class TestPresendGuards:

@@ -224,6 +224,7 @@ class TestHostileFrames:
         sock = connect(daemon.bound_address, timeout=10.0)
         sock.sendall(struct.pack(">I", 0))
         reply = read_frame(sock)
+        sock.close()
         assert reply["code"] == "bad-frame"
         self._daemon_survives(daemon)
 
@@ -233,6 +234,7 @@ class TestHostileFrames:
         garbage = b"\x00{]this is not json"
         sock.sendall(struct.pack(">I", len(garbage)) + garbage)
         reply = read_frame(sock)
+        sock.close()
         assert reply["type"] == "error"
         assert reply["code"] == "bad-json"
         self._daemon_survives(daemon)
@@ -1559,3 +1561,5 @@ class TestWorkerSigterm:
             if proc.poll() is None:
                 proc.kill()
             proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()

@@ -1,6 +1,8 @@
 """Tests for the Simulator engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
@@ -52,6 +54,14 @@ class TestScheduling:
         sim.run()
         assert seen == []
 
+    def test_simulator_is_truthy_whatever_it_queues(self, sim):
+        # Simulator inherits EventQueue.__len__; an idle simulator must
+        # not read as false, or ``sim or Simulator()`` would swap it.
+        assert sim.pending_events() == 0
+        assert bool(sim)
+        sim.schedule(1, lambda: None)
+        assert bool(sim)
+
 
 class TestRun:
     def test_run_until_stops_clock_at_until(self, sim):
@@ -62,6 +72,32 @@ class TestRun:
         # The event is still pending and fires on the next run.
         assert sim.run() == 1
         assert sim.now == 1_000
+
+    def test_event_past_until_keeps_its_place(self, sim):
+        # A bounded run pops the first event past ``until`` and puts it
+        # back: it must still fire before an event scheduled later for
+        # the same instant.
+        seen = []
+        sim.schedule(10, lambda: seen.append("early"))
+        assert sim.run(until=5) == 0
+        assert sim.pending_events() == 1
+        sim.at(10, lambda: seen.append("late"))
+        assert sim.run() == 2
+        assert seen == ["early", "late"]
+
+    def test_same_instant_shares_one_clock_int(self, sim):
+        # Models store ``sim.now`` in packet stamps; through a run of
+        # events at one instant the clock keeps a single int object, so
+        # the stamps hold one int per instant, not one per event.
+        instant = 10 ** 12
+        times = [int(str(instant)) for _ in range(3)]
+        assert times[0] is not times[1]
+        seen = []
+        for time in times:
+            sim.at(time, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [instant] * 3
+        assert seen[0] is seen[1] is seen[2]
 
     def test_event_exactly_at_until_fires(self, sim):
         seen = []
@@ -239,3 +275,212 @@ class TestBatchDispatch:
         assert sim.pending_events() == 1  # only the tail survives
         sim.cancel(tail)
         assert sim.pending_events() == 0
+
+
+# -- the event core against a sorted reference model ------------------------
+
+_DELAYS = st.sampled_from([0, 0, 1, 2, 5, 10])
+
+_LEAF = st.one_of(
+    st.just(("noop",)),
+    st.just(("stop",)),
+    st.just(("raise",)),
+    st.tuples(st.just("cancel"), st.integers(0, 7), st.booleans()),
+)
+
+_BEHAVIOUR = st.one_of(
+    _LEAF,
+    st.tuples(st.just("spawn"), _DELAYS, _LEAF),
+)
+
+_OP = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, _BEHAVIOUR),
+    st.tuples(st.just("at"), _DELAYS, _BEHAVIOUR),
+    st.tuples(st.just("cancel"), st.integers(0, 30), st.booleans()),
+    st.tuples(st.just("run"), st.just("all"), st.just(0)),
+    st.tuples(st.just("run"), st.just("until"),
+              st.sampled_from([0, 1, 2, 3, 5, 7, 10, 20])),
+    st.tuples(st.just("run"), st.just("max"), st.integers(1, 4)),
+)
+
+
+class _ModelEvent:
+    def __init__(self, ident, time, key, behaviour):
+        self.ident = ident
+        self.time = time
+        self.key = key
+        self.behaviour = behaviour
+        self.cancelled = False
+        self.fired = False
+        #: Cancelled only through Event.cancel(), behind the queue's back.
+        self.direct_only = False
+
+
+class _Model:
+    """A sorted-list event core: the spec the engine must match."""
+
+    def __init__(self):
+        self.now = 0
+        self.dispatched = 0
+        self.fired = []
+        self.events = []
+        #: ident of a fired ``cancel`` callback -> the ident it cancelled.
+        self.cancel_targets = {}
+        self._sequence = 0
+        self._last_key = (-1, -1)
+
+    def add(self, time, behaviour):
+        event = _ModelEvent(len(self.events), time,
+                            (time, self._sequence), behaviour)
+        self._sequence += 1
+        self.events.append(event)
+        return event
+
+    def live(self):
+        return [e for e in self.events if not e.fired and not e.cancelled]
+
+    def cancel(self, event, direct):
+        if not event.cancelled and not event.fired:
+            event.direct_only = direct
+        elif not direct:
+            event.direct_only = False
+        event.cancelled = True
+
+    def run(self, until=None, max_events=None):
+        count = 0
+        while True:
+            live = self.live()
+            if not live:
+                if until is not None:
+                    self.now = max(self.now, until)
+                return ("ok", count)
+            event = min(live, key=lambda e: e.key)
+            if until is not None and event.time > until:
+                self.now = until
+                return ("ok", count)
+            event.fired = True
+            self.now = event.time
+            self._last_key = event.key
+            self.fired.append(event.ident)
+            stopped = False
+            behaviour = event.behaviour
+            if behaviour[0] == "spawn":
+                self.add(self.now + behaviour[1], behaviour[2])
+            elif behaviour[0] == "cancel":
+                # A same-time peer while one is queued, else any event
+                # created so far (fired ones included).
+                peers = sorted((e for e in self.live()
+                                if e.time == event.time), key=lambda e: e.key)
+                pool = peers or self.events
+                target = pool[behaviour[1] % len(pool)]
+                self.cancel_targets[event.ident] = target.ident
+                self.cancel(target, behaviour[2])
+            elif behaviour[0] == "stop":
+                stopped = True
+            elif behaviour[0] == "raise":
+                return ("raise", None)
+            count += 1
+            self.dispatched += 1
+            if max_events is not None and count >= max_events:
+                return ("max", None)
+            if stopped:
+                return ("ok", count)
+
+    def pending_bounds(self):
+        """Live events, plus direct cancels a queue may not yet have
+        met (any still keyed after the last fired event)."""
+        live = len(self.live())
+        unmet = sum(1 for e in self.events
+                    if e.cancelled and e.direct_only and not e.fired
+                    and e.key > self._last_key)
+        return live, live + unmet
+
+
+class _Driver:
+    """Applies the same program to a real Simulator.
+
+    Callbacks replay the model's cancel targets, so the model runs
+    each ``run`` step first.  Events are numbered in creation order on
+    both sides; any divergence shows up as a different fired order.
+    """
+
+    def __init__(self, model):
+        self.sim = Simulator()
+        self.model = model
+        self.events = []
+        self.fired = []
+
+    def add(self, time, behaviour, use_at):
+        ident = len(self.events)
+        callback = lambda: self._fire(ident, behaviour)  # noqa: E731
+        if use_at:
+            event = self.sim.at(time, callback)
+        else:
+            event = self.sim.schedule(time - self.sim.now, callback)
+        self.events.append(event)
+
+    def _fire(self, ident, behaviour):
+        self.fired.append(ident)
+        kind = behaviour[0]
+        if kind == "spawn":
+            self.add(self.sim.now + behaviour[1], behaviour[2],
+                     use_at=bool(ident % 2))
+        elif kind == "cancel":
+            self.cancel(self.model.cancel_targets[ident], behaviour[2])
+        elif kind == "stop":
+            self.sim.stop()
+        elif kind == "raise":
+            raise RuntimeError("callback failed")
+
+    def cancel(self, ident, direct):
+        if direct:
+            self.events[ident].cancel()
+        else:
+            self.sim.cancel(self.events[ident])
+
+    def run(self, until=None, max_events=None):
+        try:
+            return ("ok", self.sim.run(until=until, max_events=max_events))
+        except SimulationError as exc:
+            assert "max_events" in str(exc)
+            return ("max", None)
+        except RuntimeError as exc:
+            assert str(exc) == "callback failed"
+            return ("raise", None)
+
+
+class TestEventCoreModel:
+    """Generated programs of schedule/at/cancel/run against the model.
+
+    Callbacks schedule at zero or small delay, cancel a peer at their
+    own timestamp (through the simulator or behind the queue's back),
+    stop the run or raise; runs end at and between event times, or on
+    an event budget that a later run resumes from.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(program=st.lists(_OP, min_size=1, max_size=25))
+    def test_matches_sorted_model(self, program):
+        model = _Model()
+        real = _Driver(model)
+        for op in program + [("run", "all", 0)]:
+            kind = op[0]
+            if kind in ("schedule", "at"):
+                event = model.add(model.now + op[1], op[2])
+                real.add(event.time, op[2], use_at=kind == "at")
+            elif kind == "cancel":
+                if model.events:
+                    target = model.events[op[1] % len(model.events)]
+                    model.cancel(target, op[2])
+                    real.cancel(target.ident, op[2])
+            else:
+                until = model.now + op[2] if op[1] == "until" else None
+                budget = op[2] if op[1] == "max" else None
+                expected = model.run(until=until, max_events=budget)
+                assert real.run(until=until, max_events=budget) == expected
+                assert real.fired == model.fired
+                assert real.sim.now == model.now
+                assert real.sim.events_dispatched == model.dispatched
+                assert real.sim.run_until is None
+            low, high = model.pending_bounds()
+            assert low <= real.sim.pending_events() <= high

@@ -137,6 +137,21 @@ class TestEventQueue:
         while len(q):
             q.pop()
 
+    def test_len_drops_direct_cancel_at_once(self):
+        # len() counts live events when asked, so an Event.cancel()
+        # behind the queue's back leaves the count before the queue
+        # next touches the event.
+        q = EventQueue()
+        events = [Event(t, _noop) for t in range(3)]
+        for event in events:
+            q.push(event)
+        events[1].cancel()
+        assert len(q) == 2
+        events[0].cancel()
+        events[2].cancel()
+        assert len(q) == 0
+        assert q.peek_time() is None
+
     def test_cancel_after_pop_does_not_double_discount(self):
         # Regression: cancelling an event that already fired (stale
         # timer cleanup via Simulator.cancel) must not subtract it from
@@ -161,84 +176,3 @@ class TestEventQueue:
         assert len(q) == 0
         q.push(Event(2, _noop))
         assert len(q) == 1
-
-
-class TestPopReady:
-    def test_batch_pops_whole_timestamp_in_order(self):
-        q = EventQueue()
-        events = [Event(5, _noop) for __ in range(4)]
-        later = Event(6, _noop)
-        for event in events:
-            q.push(event)
-        q.push(later)
-        batch = q.pop_ready(5)
-        assert batch == events          # push order == firing order
-        assert len(q) == 1
-        assert q.peek_time() == 6
-
-    def test_batch_skips_and_reconciles_cancelled(self):
-        q = EventQueue()
-        events = [Event(1, _noop) for __ in range(3)]
-        for event in events:
-            q.push(event)
-        events[1].cancel()              # behind the queue's back
-        batch = q.pop_ready(1)
-        assert batch == [events[0], events[2]]
-        assert len(q) == 0
-
-    def test_requeue_restores_order_and_count(self):
-        q = EventQueue()
-        first = Event(3, _noop)
-        second = Event(3, _noop)
-        q.push(first)
-        q.push(second)
-        batch = q.pop_ready(3)
-        assert len(q) == 0
-        # A callback schedules a third event at the same instant...
-        third = Event(3, _noop)
-        q.push(third)
-        # ...then the rest of the batch is handed back: it must fire
-        # *before* the newly scheduled event.
-        q.requeue(batch[1:])
-        assert len(q) == 2
-        assert q.pop() is second
-        assert q.pop() is third
-
-    def test_requeue_drops_events_cancelled_while_popped(self):
-        q = EventQueue()
-        event = Event(1, _noop)
-        q.push(event)
-        (popped,) = q.pop_ready(1)
-        popped.cancel()                 # cancelled mid-batch
-        q.requeue([popped])
-        assert len(q) == 0
-        assert q.peek_time() is None
-
-    def test_cancel_of_popped_event_does_not_drift_count(self):
-        # Live-count regression under cancel interleavings: cancelling
-        # a batch-popped (already accounted) event via the queue must
-        # not subtract it a second time.
-        q = EventQueue()
-        a = Event(1, _noop)
-        b = Event(2, _noop)
-        q.push(a)
-        q.push(b)
-        (popped,) = q.pop_ready(1)
-        assert popped is a
-        q.cancel(a)
-        assert len(q) == 1
-        # And a requeue of the cancelled event is a no-op.
-        q.requeue([a])
-        assert len(q) == 1
-        assert q.pop() is b
-        assert len(q) == 0
-
-    def test_requeued_event_pops_live_again(self):
-        q = EventQueue()
-        event = Event(4, _noop)
-        q.push(event)
-        batch = q.pop_ready(4)
-        q.requeue(batch)
-        assert len(q) == 1
-        assert q.pop() is event
-        assert len(q) == 0

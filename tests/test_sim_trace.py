@@ -20,8 +20,16 @@ class TestCounter:
     def test_repr_mentions_name(self):
         assert "drops" in repr(Counter("drops"))
 
+    def test_has_no_instance_dict(self):
+        # __slots__: an n=64 VOQ bank holds three counters per queue.
+        assert not hasattr(Counter("x"), "__dict__")
+
 
 class TestTimeSeries:
+    def test_has_no_instance_dict(self):
+        # __slots__: an n=64 VOQ bank holds one series per queue.
+        assert not hasattr(TimeSeries("x"), "__dict__")
+
     def test_record_and_summaries(self):
         s = TimeSeries("s")
         for t, v in [(0, 1.0), (10, 5.0), (20, 3.0)]:

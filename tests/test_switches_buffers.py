@@ -78,6 +78,21 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             q.enqueue(_packet(100))
 
+    def test_error_names_the_cap_that_tripped(self, sim):
+        packets = PacketQueue(sim, "q", capacity_packets=1,
+                              policy=DropPolicy.ERROR)
+        packets.enqueue(_packet(100))
+        with pytest.raises(CapacityError) as caught:
+            packets.enqueue(_packet(100))
+        assert str(caught.value) == \
+            "queue q overflow: 1 + 1 packets > 1 packets"
+        nbytes = PacketQueue(sim, "b", capacity_bytes=150,
+                             capacity_packets=5, policy=DropPolicy.ERROR)
+        nbytes.enqueue(_packet(100))
+        with pytest.raises(CapacityError) as caught:
+            nbytes.enqueue(_packet(100))
+        assert str(caught.value) == "queue b overflow: 100B + 100B > 150B"
+
     def test_invalid_capacity_rejected(self, sim):
         with pytest.raises(ConfigurationError):
             PacketQueue(sim, "q", capacity_bytes=0)
@@ -125,6 +140,25 @@ class TestAccounting:
         assert q.occupancy.values == []
         assert not q.occupancy.enabled
         assert q.peak_bytes == 10
+
+    def test_popleft_run_matches_stepwise_dequeues(self, sim):
+        # The batched drain must leave what one dequeue per stamp
+        # leaves: stamps, bytes, counters, peaks and the series.
+        batched = PacketQueue(sim, "b", trace_occupancy=True)
+        stepwise = PacketQueue(sim, "s", trace_occupancy=True)
+        for size in (10, 20, 30, 40):
+            batched.enqueue(_packet(size))
+            stepwise.enqueue(_packet(size))
+        times = [0, 5, 9]
+        run = batched.popleft_run(times)
+        steps = [stepwise.dequeue() for _ in times]
+        assert [p.size for p in run] == [p.size for p in steps]
+        assert [p.dequeued_ps for p in run] == times
+        assert len(batched) == len(stepwise) == 1
+        assert batched.bytes == stepwise.bytes == 40
+        assert (batched.dequeues.count, batched.dequeues.bytes) == (3, 60)
+        assert (batched.peak_bytes, batched.peak_packets) == (100, 4)
+        assert batched.occupancy.values[-1] == 40
 
     def test_on_change_hook(self, sim):
         q = PacketQueue(sim, "q")
