@@ -10,7 +10,10 @@ Per slot:
 
 Delay is measured in slots from arrival to departure (FIFO within each
 VOQ).  Throughput is departures per slot per port, normalised so 1.0
-means every port was busy every slot.
+means every port was busy every slot.  Slots are numbered from the
+start of the arrival stream, so a :meth:`CellFabricSim.run` that
+continues from live state measures each cell's delay from the slot it
+really arrived in.
 
 The simulator is deliberately independent of :mod:`repro.sim` — cell
 time is just a loop index; there is nothing event-driven about it.
@@ -22,15 +25,15 @@ Two interchangeable inner loops produce **bit-identical**
 :class:`FabricStats` for the same seed (the golden-equivalence tests in
 ``tests/test_fabric_vector.py`` hold them to that):
 
-* ``"vector"`` (default) — batch-slot kernel: arrival randomness is
-  drawn for whole slot chunks at once (numpy fills chunked draws from
-  the same bit stream as per-slot draws, so the arrival pattern is
-  unchanged), per-VOQ FIFO delay bookkeeping lives in one int64 ring
-  buffer indexed with fancy indexing instead of n² Python deques, and
-  schedulers are invoked through their validation-free
-  :meth:`~repro.schedulers.base.Scheduler.compute_trusted` entry.
+* ``"vector"`` (default) — the replica-stacked kernel of
+  :mod:`repro.fabric.replicas` holding one replica: arrival randomness
+  drawn in whole slot chunks, int32 VOQ counts, a per-VOQ delay ledger
+  instead of a queue of arrival slots, and the scheduler driven
+  without re-validation (batched WFA and TDMA drivers; iSLIP and
+  everything else through its own
+  :meth:`~repro.schedulers.base.Scheduler.compute_trusted`).
 * ``"reference"`` — the original scalar loop, kept as the executable
-  specification the vector kernel is checked against.
+  specification the stack is checked against.
 """
 
 from __future__ import annotations
@@ -43,14 +46,6 @@ import numpy as np
 
 from repro.schedulers.base import Scheduler
 from repro.sim.errors import ConfigurationError
-
-#: Memory budget for one chunk of pre-drawn arrival randomness
-#: (float64), which bounds the batch size at large port counts.
-_CHUNK_BYTES = 8_000_000
-#: Upper bound on slots per chunk regardless of port count.
-_CHUNK_SLOTS = 1024
-#: Initial per-VOQ ring-buffer capacity (doubles on demand).
-_RING_START = 8
 
 
 @dataclass(frozen=True)
@@ -78,6 +73,38 @@ class FabricStats:
         return self.departures / self.arrivals if self.arrivals else 1.0
 
 
+def _checked_rates(rates: np.ndarray, *shapes: tuple) -> np.ndarray:
+    """``rates`` as float64: per-slot arrival probabilities with a zero
+    diagonal, in one of ``shapes`` (a matrix, or one per replica)."""
+    rates = np.asarray(rates, dtype=np.float64)
+    if rates.shape not in shapes:
+        raise ConfigurationError(
+            f"rates shape {rates.shape} is not "
+            + " or ".join(str(shape) for shape in shapes))
+    if (rates < 0).any() or (rates > 1).any():
+        raise ConfigurationError("rates must be probabilities in [0,1]")
+    if np.diagonal(rates, axis1=-2, axis2=-1).any():
+        raise ConfigurationError("rates must have a zero diagonal")
+    return rates
+
+
+def _stats(n_ports: int, slots: int, arrivals: int, departures: int,
+           delay_total: int, backlog: int,
+           peak_backlog: int) -> FabricStats:
+    """One window's :class:`FabricStats` from its integer totals."""
+    return FabricStats(
+        slots=slots,
+        n_ports=n_ports,
+        arrivals=arrivals,
+        departures=departures,
+        mean_delay_slots=delay_total / departures if departures else 0.0,
+        throughput=departures / (slots * n_ports),
+        offered=arrivals / (slots * n_ports),
+        backlog_cells=backlog,
+        peak_backlog_cells=peak_backlog,
+    )
+
+
 class CellFabricSim:
     """Fixed-slot input-queued switch driven by any Scheduler.
 
@@ -92,24 +119,17 @@ class CellFabricSim:
     seed:
         Arrival randomness seed.
     engine:
-        ``"vector"`` (default, batch-slot kernel) or ``"reference"``
-        (scalar loop).  Both produce identical stats for the same seed;
-        see the module docstring.
+        ``"vector"`` (default, the one-replica stack) or
+        ``"reference"`` (scalar loop).  Both produce identical stats for
+        the same seed; see the module docstring.
     """
 
     ENGINES = ("vector", "reference")
 
     def __init__(self, scheduler: Scheduler, rates: np.ndarray,
                  seed: int = 0, engine: str = "vector") -> None:
-        rates = np.asarray(rates, dtype=np.float64)
         n = scheduler.n_ports
-        if rates.shape != (n, n):
-            raise ConfigurationError(
-                f"rates shape {rates.shape} != scheduler ports ({n},{n})")
-        if (rates < 0).any() or (rates > 1).any():
-            raise ConfigurationError("rates must be probabilities in [0,1]")
-        if np.diagonal(rates).any():
-            raise ConfigurationError("rates must have a zero diagonal")
+        rates = _checked_rates(rates, (n, n))
         if engine not in self.ENGINES:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; choose from {self.ENGINES}")
@@ -117,43 +137,44 @@ class CellFabricSim:
         self.rates = rates
         self.n_ports = n
         self.engine = engine
+        if engine == "vector":
+            # Imported here: the stack's module imports this one.
+            from repro.fabric.replicas import _ReplicaStack
+
+            self._stack = _ReplicaStack([scheduler], rates, [seed])
+            return
         self._rng = np.random.default_rng(seed)
         self._counts = np.zeros((n, n), dtype=np.int64)
-        if engine == "reference":
-            self._arrival_slots: List[List[Optional[Deque[int]]]] = [
-                [deque() if i != j else None for j in range(n)]
-                for i in range(n)
-            ]
-        else:
-            # Per-VOQ FIFO of arrival-slot numbers, stored as one ring
-            # buffer: entry k of queue (i, j) lives at
-            # ring[i, j, (head[i, j] + k) % capacity].
-            self._ring = np.zeros((n, n, _RING_START), dtype=np.int64)
-            self._ring_head = np.zeros((n, n), dtype=np.int64)
-            self._ring_size = np.zeros((n, n), dtype=np.int64)
+        self._arrival_slots: List[List[Optional[Deque[int]]]] = [
+            [deque() if i != j else None for j in range(n)]
+            for i in range(n)
+        ]
+        #: Slots simulated so far: the number of the next run's first.
+        self._slot = 0
 
     def run(self, slots: int, warmup: int = 0) -> FabricStats:
         """Simulate ``warmup + slots`` slots; measure the last ``slots``.
 
         Warmup fills queues to steady state so delay/throughput are not
-        biased by the empty start.
+        biased by the empty start.  A later call continues from the
+        state this one leaves.
         """
         if slots < 1 or warmup < 0:
             raise ConfigurationError("slots >= 1, warmup >= 0 required")
-        if self.engine == "reference":
-            return self._run_reference(slots, warmup)
-        return self._run_vector(slots, warmup)
-
-    # -- reference engine (executable specification) ---------------------------
+        if self.engine == "vector":
+            return self._stack.run(slots, warmup)[0]
+        return self._run_reference(slots, warmup)
 
     def _run_reference(self, slots: int, warmup: int) -> FabricStats:
+        """The scalar loop: the executable specification."""
         n = self.n_ports
+        opens = self._slot + warmup
         arrivals = 0
         departures = 0
         delay_total = 0
         peak_backlog = 0
-        for slot in range(warmup + slots):
-            measuring = slot >= warmup
+        for slot in range(self._slot, opens + slots):
+            measuring = slot >= opens
             # Arrivals: one Bernoulli draw per pair.
             draw = self._rng.random((n, n)) < self.rates
             if draw.any():
@@ -181,119 +202,9 @@ class CellFabricSim:
             backlog = int(self._counts.sum())
             if measuring and backlog > peak_backlog:
                 peak_backlog = backlog
-        return self._stats(slots, arrivals, departures, delay_total,
-                           peak_backlog)
-
-    # -- vector engine ---------------------------------------------------------
-
-    def _grow_ring(self, needed: int) -> None:
-        """Double the ring capacity until ``needed`` cells fit per VOQ.
-
-        Re-laid out so every queue starts at index 0 (one gather).
-        """
-        capacity = self._ring.shape[2]
-        new_capacity = capacity
-        while new_capacity < needed:
-            new_capacity *= 2
-        gather = (self._ring_head[:, :, None]
-                  + np.arange(capacity)[None, None, :]) % capacity
-        unrolled = np.take_along_axis(self._ring, gather, axis=2)
-        self._ring = np.zeros(
-            (self.n_ports, self.n_ports, new_capacity), dtype=np.int64)
-        self._ring[:, :, :capacity] = unrolled
-        self._ring_head[:] = 0
-
-    def _run_vector(self, slots: int, warmup: int) -> FabricStats:
-        n = self.n_ports
-        counts = self._counts
-        head = self._ring_head
-        size = self._ring_size
-        ring = self._ring
-        capacity = ring.shape[2]
-        ring_mask = capacity - 1  # capacity is always a power of two
-        compute = self.scheduler.compute_trusted
-        nonzero = np.nonzero
-        total = warmup + slots
-        chunk = max(1, min(total, _CHUNK_BYTES // (8 * n * n), _CHUNK_SLOTS))
-        arrivals = 0
-        departures = 0
-        delay_total = 0
-        backlog = int(counts.sum())
-        peak_backlog = 0
-        slot = 0
-        while slot < total:
-            span = min(chunk, total - slot)
-            # One RNG call per chunk: numpy fills the (span, n, n) block
-            # from the same bit stream as span successive (n, n) draws,
-            # so arrivals are bit-identical to the reference engine.
-            draw = self._rng.random((span, n, n)) < self.rates
-            slot_idx, src_idx, dst_idx = nonzero(draw)
-            bounds = np.searchsorted(slot_idx, np.arange(span + 1)).tolist()
-            for k in range(span):
-                measuring = slot >= warmup
-                lo = bounds[k]
-                hi = bounds[k + 1]
-                if hi > lo:
-                    src = src_idx[lo:hi]
-                    dst = dst_idx[lo:hi]
-                    queued = size[src, dst]
-                    if int(queued.max()) >= capacity:
-                        self._grow_ring(capacity + 1)
-                        ring = self._ring
-                        capacity = ring.shape[2]
-                        ring_mask = capacity - 1
-                        queued = size[src, dst]
-                    counts[src, dst] += 1
-                    ring[src, dst, (head[src, dst] + queued) & ring_mask] = slot
-                    size[src, dst] += 1
-                    backlog += hi - lo
-                    if measuring:
-                        arrivals += hi - lo
-                # Schedule on current occupancy (validation skipped: the
-                # kernel maintains the non-negative zero-diagonal
-                # invariant itself).
-                matching = compute(counts).first
-                out_of = matching.as_array()
-                matched_in = nonzero(out_of >= 0)[0]
-                if matched_in.size:
-                    matched_out = out_of[matched_in]
-                    backlogged = counts[matched_in, matched_out] >= 1
-                    served_in = matched_in[backlogged]
-                    n_served = served_in.size
-                    if n_served:
-                        served_out = matched_out[backlogged]
-                        counts[served_in, served_out] -= 1
-                        at = head[served_in, served_out]
-                        arrived = ring[served_in, served_out, at]
-                        head[served_in, served_out] = (at + 1) & ring_mask
-                        size[served_in, served_out] -= 1
-                        backlog -= n_served
-                        if measuring:
-                            departures += n_served
-                            delay_total += (n_served * slot
-                                            - int(arrived.sum()))
-                if measuring and backlog > peak_backlog:
-                    peak_backlog = backlog
-                slot += 1
-        return self._stats(slots, arrivals, departures, delay_total,
-                           peak_backlog)
-
-    # -- shared ----------------------------------------------------------------
-
-    def _stats(self, slots: int, arrivals: int, departures: int,
-               delay_total: int, peak_backlog: int) -> FabricStats:
-        mean_delay = delay_total / departures if departures else 0.0
-        return FabricStats(
-            slots=slots,
-            n_ports=self.n_ports,
-            arrivals=arrivals,
-            departures=departures,
-            mean_delay_slots=mean_delay,
-            throughput=departures / (slots * self.n_ports),
-            offered=arrivals / (slots * self.n_ports),
-            backlog_cells=int(self._counts.sum()),
-            peak_backlog_cells=peak_backlog,
-        )
+        self._slot = opens + slots
+        return _stats(n, slots, arrivals, departures, delay_total,
+                      int(self._counts.sum()), peak_backlog)
 
 
 __all__ = ["CellFabricSim", "FabricStats"]

@@ -39,7 +39,9 @@ replica.  The batched drivers require *exact* scheduler types
 (subclasses — notably the scalar reference implementations — keep
 their own compute path): iSLIP with at most 64 ports (one word per
 request row) and one iteration budget per group, WFA, and TDMA with
-``frame_mode=False``.  Everything else runs sequentially.
+``frame_mode=False``.  Everything else runs sequentially, and so does
+a lone iSLIP replica (a solo ``CellFabricSim`` run), which is faster
+on its own ``compute_trusted``.
 """
 
 from __future__ import annotations
@@ -388,7 +390,10 @@ def make_replica_matcher(
     ``RoundRobinTdma`` instances, and everything else (subclasses,
     randomised or hybrid schedulers) on the sequential driver, which
     is bit-identical by construction.  One group gets its own driver;
-    several get a :class:`GroupedReplicaMatcher`.
+    several get a :class:`GroupedReplicaMatcher`.  A lone iSLIP replica
+    runs sequentially: at ``R = 1`` its own ``compute_trusted`` beats
+    the packed-word driver, while lone WFA and TDMA replicas are
+    faster on their batched drivers.
     """
     groups: Dict[Tuple, List[int]] = {}
     for replica, scheduler in enumerate(schedulers):
@@ -397,6 +402,8 @@ def make_replica_matcher(
         return GroupedReplicaMatcher(
             schedulers, [(rows, key[0]) for key, rows in groups.items()])
     driver = next(iter(groups), (SequentialReplicaMatcher,))[0]
+    if driver is BatchedIslipMatcher and len(schedulers) == 1:
+        driver = SequentialReplicaMatcher
     return driver(schedulers)
 
 

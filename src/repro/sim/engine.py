@@ -73,6 +73,8 @@ class Simulator(EventQueue):
             Stop once the next event would fire strictly after this
             time; the clock is then advanced *to* ``until`` so that a
             subsequent ``run`` continues from a well-defined instant.
+            An ``until`` earlier than ``now`` fires nothing and leaves
+            the clock where it is.
         max_events:
             Safety valve for runaway models; raises
             :class:`SimulationError` when exceeded.

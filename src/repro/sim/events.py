@@ -170,9 +170,10 @@ class EventQueue:
         Pops one event at a time.  Before each callback the clock moves
         to the event's time.  The loop ends when the heap holds no live
         event, when the next one would fire after ``until`` (it goes
-        back on the heap and the clock moves to ``until``), after a
-        :meth:`stop`, or by raising once ``max_events`` callbacks have
-        run.  A raising callback ends it too and is not counted.
+        back on the heap and the clock moves forward to ``until``, never
+        back), after a :meth:`stop`, or by raising once ``max_events``
+        callbacks have run.  A raising callback ends it too and is not
+        counted.
         """
         heap = self._heap
         heappop = heapq.heappop
@@ -189,7 +190,8 @@ class EventQueue:
                     continue
                 if bounded and time > until:
                     heapq.heappush(heap, (time, sequence, event))
-                    self.now = until
+                    if until > self.now:
+                        self.now = until
                     return dispatched
                 if time != now:
                     # Only on a new instant: models keep ``now`` in

@@ -16,8 +16,8 @@ import pytest
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
 
-FAST_EXAMPLES = ["buffering_analysis.py", "quickstart.py",
-                 "scenario_gallery.py"]
+FAST_EXAMPLES = ["buffering_analysis.py", "custom_scheduler.py",
+                 "quickstart.py", "scenario_gallery.py"]
 
 
 def _child_env() -> dict:

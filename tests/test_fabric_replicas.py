@@ -103,7 +103,7 @@ class TestGoldenEquivalence:
         (batch,) = run_replicas(lambda: IslipScheduler(16), rates, [9],
                                 250, warmup=40)
         solo = CellFabricSim(IslipScheduler(16), rates, seed=9,
-                             engine="vector").run(250, warmup=40)
+                             engine="reference").run(250, warmup=40)
         assert batch == solo
 
     def test_deep_queue_growth_matches(self):
@@ -201,6 +201,14 @@ class TestBatchedIslipMatcher:
         assert isinstance(make_replica_matcher(
             [RoundRobinTdma(8, frame_mode=True) for __ in range(2)]),
             SequentialReplicaMatcher)
+        # A lone iSLIP replica runs its own compute_trusted; lone WFA
+        # and TDMA replicas keep their batched drivers.
+        assert isinstance(make_replica_matcher([IslipScheduler(8)]),
+                          SequentialReplicaMatcher)
+        assert isinstance(make_replica_matcher([WfaScheduler(8)]),
+                          BatchedWfaMatcher)
+        assert isinstance(make_replica_matcher([RoundRobinTdma(8)]),
+                          BatchedTdmaMatcher)
 
     def test_mixed_port_counts_rejected(self):
         with pytest.raises(SchedulingError):
@@ -307,8 +315,8 @@ STACK_MAKERS = (
 
 
 def _solo_runs(makers, n, rates, seeds, slots, warmup):
-    return [CellFabricSim(make(n), rates[r], seed=seeds[r]).run(
-                slots, warmup=warmup)
+    return [CellFabricSim(make(n), rates[r], seed=seeds[r],
+                          engine="reference").run(slots, warmup=warmup)
             for r, make in enumerate(makers)]
 
 

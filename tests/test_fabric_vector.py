@@ -1,10 +1,12 @@
 """Golden-equivalence and invariant tests for the vectorised fabric.
 
-The vector engine must be *bit-identical* to the scalar reference
-engine: same seed → same :class:`FabricStats`, field for field.  The
-golden tests below hold the whole stack to that (vector kernel +
-vectorised schedulers vs scalar kernel + scalar reference schedulers),
-and the property tests check the physical invariants at n ∈ {4, 16, 64}.
+The vector engine (the replica stack holding one replica) must be
+*bit-identical* to the scalar reference engine: same seed → same
+:class:`FabricStats`, field for field, on a fresh run and on a run
+that continues from live state.  The golden tests below hold the
+whole stack to that (vector kernel + vectorised schedulers vs scalar
+kernel + scalar reference schedulers), and the property tests check
+the physical invariants at n ∈ {4, 16, 64}.
 """
 
 import numpy as np
@@ -79,11 +81,12 @@ class TestGoldenEquivalence:
         # Shrink the chunk cap so a cheap run crosses dozens of chunk
         # boundaries (including a warmup→measuring flip mid-chunk and a
         # final partial chunk): any carry bug in the slot counter, RNG
-        # stream, or ring state between chunks diverges from the
-        # scalar reference here.
-        import repro.fabric.cellsim as cellsim
+        # stream, or delay ledger between chunks diverges from the
+        # scalar reference here.  The patch targets the module the
+        # kernel reads the cap from.
+        import repro.fabric.replicas as replicas
 
-        monkeypatch.setattr(cellsim, "_CHUNK_SLOTS", 7)
+        monkeypatch.setattr(replicas, "_CHUNK_SLOTS", 7)
         rates = hotspot_rates(8, 0.8, skew=0.5)
         reference = CellFabricSim(
             ReferenceIslipScheduler(8, iterations=2), rates, seed=9,
@@ -104,16 +107,38 @@ class TestGoldenEquivalence:
         for __ in range(3):
             assert a.run(150) == b.run(150)
 
+    @pytest.mark.parametrize("engine", CellFabricSim.ENGINES)
+    @pytest.mark.parametrize("make, rates, seed, runs", [
+        (lambda: IslipScheduler(8), hotspot_rates(8, 0.8, skew=0.5), 5,
+         [150, 150]),
+        (lambda: RoundRobinTdma(8), incast_rates(8, 1.0), 11,
+         [200, 200, 200]),
+    ], ids=["islip-hotspot", "tdma-incast"])
+    def test_resumed_run_equals_fresh_run_with_warmup(
+            self, engine, make, rates, seed, runs):
+        # A resumed run measures delay from each cell's real arrival
+        # slot: run(a) then run(b) is the window of run(b, warmup=a).
+        resumed = CellFabricSim(make(), rates, seed=seed, engine=engine)
+        done = 0
+        for slots in runs:
+            stats = resumed.run(slots)
+            fresh = CellFabricSim(make(), rates, seed=seed,
+                                  engine=engine).run(slots, warmup=done)
+            assert stats == fresh
+            assert stats.mean_delay_slots > 0
+            done += slots
+
     def test_deep_queue_growth_matches(self):
-        # Incast at full load overflows the initial ring capacity many
-        # times over; growth must not perturb FIFO order or delays.
+        # Incast at full load builds queues hundreds of cells deep; the
+        # delay ledger must still charge each departure its own arrival
+        # slot, in FIFO order.
         rates = incast_rates(8, 1.0)
         reference = CellFabricSim(RoundRobinTdma(8), rates, seed=11,
                                   engine="reference").run(600)
         vector = CellFabricSim(RoundRobinTdma(8), rates, seed=11,
                                engine="vector").run(600)
         assert reference == vector
-        assert vector.backlog_cells > 8  # the growth path actually ran
+        assert vector.backlog_cells > 8  # queues really built up
 
 
 class TestVectorEngineBasics:
@@ -131,7 +156,9 @@ class TestVectorEngineBasics:
         sim = CellFabricSim(IslipScheduler(4), uniform_rates(4, 0.5),
                             seed=1, engine=engine)
         sim.run(slots=50)
-        assert sim._counts.dtype == np.int64
+        counts = sim._stack.counts if engine == "vector" else sim._counts
+        assert np.issubdtype(counts.dtype, np.integer)
+        assert counts.sum() > 0
 
     def test_run_parameter_validation(self):
         sim = CellFabricSim(IslipScheduler(4), uniform_rates(4, 0.5))

@@ -109,6 +109,21 @@ class TestRun:
         sim.run(until=123)
         assert sim.now == 123
 
+    def test_until_behind_the_clock_leaves_it_alone(self, sim):
+        # With an event pending after ``until``, a bounded run whose
+        # ``until`` is behind the clock fires nothing and keeps ``now``:
+        # moved back, it would accept an event earlier than one fired.
+        fired = []
+        sim.at(100, lambda: fired.append(sim.now))
+        sim.run(until=100)
+        sim.at(200, lambda: fired.append(sim.now))
+        assert sim.run(until=50) == 0
+        assert sim.now == 100
+        with pytest.raises(SimulationError):
+            sim.at(60, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [100, 200]
+
     def test_cascading_events(self, sim):
         seen = []
 
@@ -299,7 +314,7 @@ _OP = st.one_of(
     st.tuples(st.just("cancel"), st.integers(0, 30), st.booleans()),
     st.tuples(st.just("run"), st.just("all"), st.just(0)),
     st.tuples(st.just("run"), st.just("until"),
-              st.sampled_from([0, 1, 2, 3, 5, 7, 10, 20])),
+              st.sampled_from([-20, -3, -1, 0, 1, 2, 3, 5, 7, 10, 20])),
     st.tuples(st.just("run"), st.just("max"), st.integers(1, 4)),
 )
 
@@ -356,7 +371,8 @@ class _Model:
                 return ("ok", count)
             event = min(live, key=lambda e: e.key)
             if until is not None and event.time > until:
-                self.now = until
+                # The clock never runs backwards, whatever ``until``.
+                self.now = max(self.now, until)
                 return ("ok", count)
             event.fired = True
             self.now = event.time
@@ -454,8 +470,9 @@ class TestEventCoreModel:
 
     Callbacks schedule at zero or small delay, cancel a peer at their
     own timestamp (through the simulator or behind the queue's back),
-    stop the run or raise; runs end at and between event times, or on
-    an event budget that a later run resumes from.
+    stop the run or raise; runs end at and between event times, at an
+    ``until`` already behind the clock (which must not move it back),
+    or on an event budget that a later run resumes from.
     """
 
     @settings(max_examples=300, deadline=None)
